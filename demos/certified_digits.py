@@ -25,8 +25,9 @@ print(f"  |a/b - root| <= {result.error_bound.numerator}"
       f"/{result.error_bound.denominator}")
 
 print()
-print("bench races the engines to the same digit string and meters the")
-print("actual big-integer work (the digits must agree, or it raises):")
+print("bench races the engines to the same digit string and meters each")
+print("engine's big-integer work; the certificate is not counted (the")
+print("digits must agree, or it raises):")
 records = bench_methods(2, 60, list(Method))
 print(f"  {'method':<8} {'iters':>5} {'big mults':>9} {'peak bits':>9}")
 for rec in records:

@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import ConsistencyError, isqrt
+from .exact import ConsistencyError, isqrt, perfect_square_root
 from .identities import fast_term
 from .newton import newton_start, newton_step
 from .sequences import Family, SeqSpec, coupled_stream
@@ -41,9 +41,91 @@ def floor_root_scaled(k: int, h: int, digits: int) -> int:
     return isqrt(k * h * 10 ** (2 * digits)) // h
 
 
-def _format_digits(t: int, digits: int) -> str:
-    raw = str(t).rjust(digits + 1, "0")
-    return raw[:-digits] + "." + raw[-digits:]
+# str() never sees more decimal digits than this: it is the smallest
+# int->str cap an interpreter accepts, so formatting works under any cap.
+_STR_PIECE = 640
+
+
+def _decimal(n: int, width: int) -> str:
+    """n >= 0 in decimal, zero-padded to `width` digits (n < 10^width).
+
+    Divide and conquer on powers of ten, so str() only ever formats
+    pieces of at most _STR_PIECE digits.
+    """
+    pieces = []
+    powers: dict[int, int] = {}
+    pending = [(n, width)]
+    while pending:
+        n, width = pending.pop()
+        if width <= _STR_PIECE:
+            pieces.append(str(n).rjust(width, "0"))
+            continue
+        low = width // 2
+        if low not in powers:
+            powers[low] = 10 ** low
+        high, rest = divmod(n, powers[low])
+        pending.append((rest, low))
+        pending.append((high, width - low))
+    return "".join(pieces)
+
+
+def _format_digits(t: int, digits: int, scale: int) -> str:
+    """t / scale as a decimal string with `digits` places; scale = 10^digits."""
+    whole, frac = divmod(t, scale)
+    # bit_length * 0.30103 + 1 is never below the digit count
+    width = int(whole.bit_length() * 0.30103) + 1
+    return (_decimal(whole, width).lstrip("0") or "0") + "." + _decimal(frac, digits)
+
+
+# Guard bits kept below the quotient's width when a and b are cut down
+# for the proposal; 9 keep it within 2^-7 of the exact quotient.
+_GUARD_BITS = 9
+
+
+def _strip_twos(a: int, b: int) -> tuple[int, int]:
+    """a / b with the power of two both share divided out (b >= 1)."""
+    shift = ((a | b) & -(a | b)).bit_length() - 1
+    return a >> shift, b >> shift
+
+
+def _certify(a: int, b: int, k: int, h: int, digits: int, scale: int, scaled: int) -> str | None:
+    """certify_digits on checked input, given scale = 10^digits and
+    scaled = k 10^(2 digits), both computed once by the caller.
+
+    The proposal t comes from a and b cut down, when they are wider,
+    to the quotient's width plus _GUARD_BITS, which moves it by less
+    than one from the exact quotient q = floor(scale a / b).  One
+    squaring then finds the root's floor among t - 1, t, t + 1 (or
+    proves it lies elsewhere, so q cannot match), and a product check
+    confirms it is q.
+
+    A pair too narrow to come within 10^-digits of the root is turned
+    away first, on bit lengths: with r = h a^2 - k b^2,
+    |a/b - root| = |r| / (h b (a + b root)), and a + b root < 2a + b
+    whenever the gap is below 1, so h b (2a + b) < 10^digits puts the
+    pair too far away unless r = 0.  Computing r is cheap for such a pair.
+    """
+    narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
+              < scale.bit_length())
+    if narrow and h * a * a != k * b * b:
+        return None
+    shift = (b.bit_length() - scale.bit_length()
+             - max(a.bit_length() - b.bit_length(), 0) - _GUARD_BITS)
+    t = scale * (a >> shift) // (b >> shift) if shift > 0 else scale * a // b
+    square = t * t
+    if square * h > scaled:
+        square -= 2 * t - 1
+        t -= 1
+        if square * h > scaled:
+            return None
+    else:
+        square += 2 * t + 1
+        if square * h <= scaled:
+            t += 1
+            if (square + 2 * t + 1) * h <= scaled:
+                return None
+    low = t * b
+    return _format_digits(t, digits, scale) if low <= scale * a < low + b else None
 
 
 def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
@@ -59,11 +141,9 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
         raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    t = 10 ** digits * a // b
-    scaled = k * 10 ** (2 * digits)
-    if t * t * h <= scaled < (t + 1) * (t + 1) * h:
-        return _format_digits(t, digits)
-    return None
+    scale = 10 ** digits
+    a, b = _strip_twos(a, b)
+    return _certify(a, b, k, h, digits, scale, k * scale * scale)
 
 
 def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int]]:
@@ -77,6 +157,10 @@ def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int
     elif method is Method.JUMP:
         if h != 1:
             raise ValueError("index jumping works on the h = 1 family only")
+        if perfect_square_root(k) is not None:
+            # every jump candidate lies below the exact root, so no
+            # candidate would ever certify
+            raise ValueError(f"index jumping never certifies a square k, got k={k}")
         index = 1
         while True:
             pair = fast_term(k, index)
@@ -94,10 +178,12 @@ def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int
 def _error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
-    # upper bound; L is the root truncated to eight places.
+    # upper bound; L = p / (h g) is the root truncated to eight places.
+    # Cleared of fractions that is |h a^2 - k b^2| g / (b (a h g + p b)),
+    # built in one step so the only gcd is the final reduction.
     guard = 10 ** 8
-    lower = Fraction(isqrt(k * h * guard * guard), h * guard)
-    return Fraction(abs(h * a * a - k * b * b)) / (h * b * b * (Fraction(a, b) + lower))
+    p = isqrt(k * h * guard * guard)
+    return Fraction(abs(h * a * a - k * b * b) * guard, b * (a * h * guard + p * b))
 
 
 @dataclass(frozen=True)
@@ -120,8 +206,11 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
         raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
+    scale = 10 ** digits
+    scaled = k * scale * scale
     for index, num, den in _convergents(k, h, method):
-        out = certify_digits(num, den, k, h, digits)
+        num, den = _strip_twos(num, den)
+        out = _certify(num, den, k, h, digits, scale, scaled)
         if out is not None:
             return ApproxResult(out, index, method, _error_bound(num, den, k, h), k, h)
     raise AssertionError("convergent stream is infinite")
@@ -245,9 +334,11 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
     """Run each method to certification on sqrt(k), metering the work.
 
     iterations counts certification attempts; multiplications and
-    peak_bits count actual big-integer traffic, measured by seeding k
-    itself as a metered integer.  All methods must land on the same
-    digit string or the whole run is thrown out as inconsistent.
+    peak_bits count the engine's big-integer traffic, measured by
+    seeding k itself as a metered integer.  The certificate runs on
+    plain ints and is not counted; wall_time_s includes it.  All
+    methods must land on the same digit string or the whole run is
+    thrown out as inconsistent.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -264,7 +355,8 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
         certified = None
         for _, num, den in _convergents(metered_k, 1, method):
             iterations += 1
-            certified = certify_digits(num, den, metered_k, 1, digits)
+            # plain ints, so the meter counts engine work only
+            certified = certify_digits(int(num), int(den), k, 1, digits)
             if certified is not None:
                 break
         elapsed = time.perf_counter() - started

@@ -78,6 +78,16 @@ def test_jump_requires_unit_denominator():
         approximate(2, 3, 8, Method.JUMP)
 
 
+@pytest.mark.parametrize("k", [1, 4, 9, 10 ** 6])
+def test_jump_rejects_square_k(k):
+    # every jump candidate for a square k lies below the root, so the
+    # engine must refuse at once instead of iterating forever
+    with pytest.raises(ValueError):
+        approximate(k, 1, 10, Method.JUMP)
+    with pytest.raises(ValueError):
+        bench_methods(k, 10, [Method.JUMP])
+
+
 def test_approximate_validation():
     with pytest.raises(ValueError):
         approximate(0, 1, 5)
@@ -210,6 +220,18 @@ def test_bench_methods_agree_and_rank():
         assert rec.multiplications > 0
         assert rec.peak_bits > 0
         assert rec.wall_time_s >= 0.0
+
+
+def test_bench_meters_engine_only():
+    # (iterations, multiplications, peak bits): the certificate runs on
+    # plain ints, so a change to it cannot move these
+    records = bench_methods(2, 50, list(Method))
+    got = {rec.method: (rec.iterations, rec.multiplications, rec.peak_bits) for rec in records}
+    assert got == {
+        Method.LINEAR: (66, 131, 85),
+        Method.JUMP: (8, 128, 164),
+        Method.NEWTON: (7, 39, 162),
+    }
 
 
 def test_bench_validation():

@@ -1,0 +1,192 @@
+"""The certificate and the error bound against their plain formulas.
+
+certify_digits proposes from truncated operands, turns narrow pairs
+away on bit lengths and formats by divide and conquer; _error_bound
+clears fractions into one Fraction.  Both must agree exactly with the
+direct formulas kept here as references: one long division, two
+squarings, str(), and Fraction arithmetic.
+"""
+import sys
+from fractions import Fraction
+from math import isqrt
+
+import pytest
+from hypothesis import given, strategies as st
+
+from surdseq.approx import (
+    Method,
+    _convergents,
+    _error_bound,
+    approximate,
+    certify_digits,
+    floor_root_scaled,
+)
+
+
+def reference_certify(a, b, k, h, digits):
+    t = 10 ** digits * a // b
+    scaled = k * 10 ** (2 * digits)
+    if t * t * h <= scaled < (t + 1) * (t + 1) * h:
+        raw = str(t).rjust(digits + 1, "0")
+        return raw[:-digits] + "." + raw[-digits:]
+    return None
+
+
+def reference_error_bound(a, b, k, h):
+    guard = 10 ** 8
+    lower = Fraction(isqrt(k * h * guard * guard), h * guard)
+    return Fraction(abs(h * a * a - k * b * b)) / (h * b * b * (Fraction(a, b) + lower))
+
+
+def reference_approximate(k, h, digits, method):
+    for index, num, den in _convergents(k, h, method):
+        out = reference_certify(num, den, k, h, digits)
+        if out is not None:
+            return out, index, reference_error_bound(num, den, k, h)
+
+
+def same_fraction(x, y):
+    return (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+
+@st.composite
+def near_root_pairs(draw):
+    """(a, b, k, h, digits) with a/b a few units of a from the root,
+    on either side, and b from far narrower to far wider than the
+    width at which the certificate starts cutting its operands."""
+    k = draw(st.integers(min_value=1, max_value=10 ** 6))
+    h = draw(st.integers(min_value=1, max_value=10 ** 4))
+    digits = draw(st.integers(min_value=1, max_value=150))
+    scale_bits = (10 ** digits).bit_length()
+    # the cut starts above scale_bits + bits of the root + 9 guard bits
+    threshold = scale_bits + isqrt(k // h).bit_length() + 9
+    width = max(1, threshold + draw(st.integers(min_value=-threshold, max_value=2 * scale_bits)))
+    b = draw(st.integers(min_value=2 ** (width - 1), max_value=2 ** width))
+    a = max(isqrt(k * b * b // h) + draw(st.integers(min_value=-3, max_value=3)), 0)
+    twos = draw(st.sampled_from([0, 0, 1, 7, 64]))
+    return a << twos, b << twos, k, h, digits
+
+
+@given(near_root_pairs())
+def test_certify_matches_reference(case):
+    a, b, k, h, digits = case
+    assert certify_digits(a, b, k, h, digits) == reference_certify(a, b, k, h, digits)
+
+
+@given(near_root_pairs())
+def test_error_bound_matches_reference(case):
+    a, b, k, h, _ = case
+    assert same_fraction(_error_bound(a, b, k, h), reference_error_bound(a, b, k, h))
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=10 ** 20),
+    st.integers(min_value=1, max_value=120),
+)
+def test_zero_residual_with_unit_k(m, c, digits):
+    # k = 1 and h = m^2: the pair (c, c m) sits on the root 1/m exactly
+    a, b, k, h = c, c * m, 1, m * m
+    got = certify_digits(a, b, k, h, digits)
+    assert got == reference_certify(a, b, k, h, digits)
+    assert got is not None
+    assert _error_bound(a, b, k, h) == 0 == reference_error_bound(a, b, k, h)
+
+
+def test_certify_cuts_operands_when_b_is_wide():
+    # b far wider than 10^digits: the proposal comes from cut operands
+    k, digits = 2, 30
+    for width in (200, 1000, 5000):
+        b = (1 << width) + 12345
+        for a in range(isqrt(k * b * b) - 3, isqrt(k * b * b) + 4):
+            assert certify_digits(a, b, k, 1, digits) == reference_certify(a, b, k, 1, digits)
+        assert certify_digits(isqrt(k * b * b), b, k, 1, digits) is not None
+
+
+def test_certify_formats_a_wide_whole_part():
+    # sqrt(k) has 751 digits before the point, more than str() is given
+    k, digits = 10 ** 1501 + 7, 12
+    for b in (10 ** 40 + 1, 3 ** 200):
+        root_b = isqrt(k * b * b)
+        for a in (root_b - 1, root_b, root_b + 1):
+            assert certify_digits(a, b, k, 1, digits) == reference_certify(a, b, k, 1, digits)
+        assert certify_digits(root_b, b, k, 1, digits) is not None
+
+
+@pytest.mark.parametrize("a, b, shift, quotient, proposal", [
+    (401408, 81921, 2, 48, 49),
+    (923279, 188424, 3, 49, 48),
+    (23343454, 4668691, 8, 49, 50),
+])
+def test_certify_when_the_cut_proposal_is_one_off(a, b, shift, quotient, proposal):
+    # one decimal place; the certificate cuts both operands by `shift`
+    # bits, which moves its proposal one off the exact quotient; the k
+    # range puts the root's floor below, on and above both
+    assert 10 * a // b == quotient
+    assert 10 * (a >> shift) // (b >> shift) == proposal
+    for k in range(20, 30):
+        assert certify_digits(a, b, k, 1, 1) == reference_certify(a, b, k, 1, 1)
+
+
+def cf_pairs(k, h, count):
+    """Continued-fraction convergents (p, q) of sqrt(k/h), kh nonsquare:
+    the closest pairs any denominator allows, so a certificate that
+    turned pairs away on a loose bound would miss some of them."""
+    n, root = k * h, isqrt(k * h)
+    m, d = 0, h
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    out = []
+    for _ in range(count):
+        term = (m + root) // d
+        p_prev, p, q_prev, q = p, term * p + p_prev, q, term * q + q_prev
+        out.append((p, q))
+        m = d * term - m
+        d = (n - m * m) // d
+    return out
+
+
+@pytest.mark.parametrize("k, h", [
+    (2, 1), (2, 7), (1, 10001), (1350, 101), (3, 10 ** 4 + 7), (10 ** 6 + 3, 9973)])
+def test_certify_on_best_approximations(k, h):
+    for a, b in cf_pairs(k, h, 24):
+        for digits in range(1, 2 * len(str(b)) + 4):
+            assert certify_digits(a, b, k, h, digits) == reference_certify(a, b, k, h, digits)
+
+
+GRID_K = (1, 2, 3, 5, 9, 11, 99, 1000)
+GRID_H = (1, 3, 4, 7)
+GRID_DIGITS = (1, 9, 40, 150)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_approximate_matches_reference_grid(method):
+    for k in GRID_K:
+        for h in GRID_H:
+            if method is Method.LINEAR and k * h > 1000:
+                continue  # LINEAR needs minutes there
+            for digits in GRID_DIGITS:
+                try:
+                    want = reference_approximate(k, h, digits, method)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        approximate(k, h, digits, method)
+                    continue
+                got = approximate(k, h, digits, method)
+                assert (got.digits, got.n_used) == want[:2], (method, k, h, digits)
+                assert same_fraction(got.error_bound, want[2]), (method, k, h, digits)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int->str digit cap")
+def test_digits_beyond_default_int_str_cap():
+    # the CLI lifts the cap for its whole process, so set it here
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        truth = str(floor_root_scaled(2, 1, 5000))
+        sys.set_int_max_str_digits(4300)
+        for method in (Method.NEWTON, Method.JUMP):
+            result = approximate(2, 1, 5000, method)
+            assert result.digits == truth[:1] + "." + truth[1:]
+    finally:
+        sys.set_int_max_str_digits(before)
