@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Sequence
 
 from .exact import ConsistencyError, isqrt, perfect_square_root
@@ -175,15 +176,48 @@ def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int
         raise ValueError(f"unknown method {method!r}")
 
 
+if hasattr(Fraction, "_from_coprime_ints"):  # CPython 3.12 and later
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    try:
+        Fraction(1, 1, _normalize=False)  # CPython 3.11 and earlier
+    except TypeError:
+        _coprime_fraction = Fraction
+    else:
+        def _coprime_fraction(n: int, m: int) -> Fraction:
+            """n / m for coprime n and m > 0, without Fraction's gcd."""
+            return Fraction(n, m, _normalize=False)
+
+
 def _error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
-    # Cleared of fractions that is |h a^2 - k b^2| g / (b (a h g + p b)),
-    # built in one step so the only gcd is the final reduction.
+    # Cleared of fractions that is N / M with N = |h a^2 - k b^2| g and
+    # M = b (a h g + p b), both of degree two in (a, b).
     guard = 10 ** 8
-    p = isqrt(k * h * guard * guard)
-    return Fraction(abs(h * a * a - k * b * b) * guard, b * (a * h * guard + p * b))
+    radicand = k * h * guard * guard
+    p = isqrt(radicand)
+    common = gcd(a, b)
+    if common > 1:
+        a //= common
+        b //= common
+    num = abs(h * a * a - k * b * b) * guard
+    den = b * (a * h * guard + p * b)
+    if p * p == radicand:
+        # k h is a square, which covers every zero residual
+        return Fraction(num, den)
+    # With a and b coprime, gcd(N, M) divides the small s = c h g, where
+    # c = k h g^2 - p^2 <= 2p.  Put r = h a^2 - k b^2 and x = a h g + p b;
+    # then c b^2 = x (a h g - p b) - r h g^2.  Let q^j divide N and M.
+    # If q does not divide b, q^j divides x, and unless q^j divides g it
+    # divides r h g^2 too, hence c.  If q divides b, it does not divide
+    # a, and comparing q-adic valuations across the identity bounds j
+    # by v_q(c h g) (v_q(r) > v_q(h) needs v_q(k b^2) = v_q(h) >= 2 v_q(b)).
+    # So remainders by s give the gcd, never a gcd on N and M.
+    shared = (radicand - p * p) * h * guard
+    shared = gcd(num % shared, den % shared, shared)
+    return _coprime_fraction(num // shared, den // shared)
 
 
 @dataclass(frozen=True)
@@ -346,6 +380,8 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
         raise ValueError(f"digits must be positive, got {digits}")
     if not methods:
         raise ValueError("need at least one method")
+    scale = 10 ** digits
+    scaled = k * scale * scale
     records = []
     for method in methods:
         meter = _Meter()
@@ -356,7 +392,8 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
         for _, num, den in _convergents(metered_k, 1, method):
             iterations += 1
             # plain ints, so the meter counts engine work only
-            certified = certify_digits(int(num), int(den), k, 1, digits)
+            num, den = _strip_twos(int(num), int(den))
+            certified = _certify(num, den, k, 1, digits, scale, scaled)
             if certified is not None:
                 break
         elapsed = time.perf_counter() - started

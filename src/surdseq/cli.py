@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import log10
 from typing import Sequence
 
 from . import newton as newton_mod
@@ -26,13 +27,34 @@ from .verify import SUITE_NAMES, run_suite
 _PLAIN_LIMIT = 60
 
 
+def _plain_int(value: int) -> str:
+    """str(value), cut to _PLAIN_LIMIT characters and a bit count when longer.
+
+    str() of a huge int can cost more than computing it, so only the
+    leading digits are formatted.  An int of `bits` bits has at least
+    floor((bits - 1) log10(2)) + 1 digits, so dividing by 10^drop keeps
+    more than _PLAIN_LIMIT of them, with digits to spare for float
+    rounding in the estimate.
+    """
+    magnitude = abs(value)
+    drop = max(int((magnitude.bit_length() - 1) * log10(2)) - _PLAIN_LIMIT - 2, 0)
+    text = ("-" if value < 0 else "") + str(magnitude // 10 ** drop)
+    if len(text) > _PLAIN_LIMIT:
+        return text[:_PLAIN_LIMIT] + f"…({value.bit_length()} bits)"
+    return text
+
+
 def _plain_value(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
-    text = str(value)
-    if isinstance(value, int) and len(text) > _PLAIN_LIMIT:
-        return text[:_PLAIN_LIMIT] + f"…({value.bit_length()} bits)"
-    return text
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _plain_int(value)
+    if isinstance(value, Fraction):
+        # each side as an int prints, which is str(value) when both are short
+        if value.denominator == 1:
+            return _plain_int(value.numerator)
+        return f"{_plain_int(value.numerator)}/{_plain_int(value.denominator)}"
+    return str(value)
 
 
 def _json_value(value: object) -> object:

@@ -2,13 +2,14 @@
 
 certify_digits proposes from truncated operands, turns narrow pairs
 away on bit lengths and formats by divide and conquer; _error_bound
-clears fractions into one Fraction.  Both must agree exactly with the
+clears fractions and reduces them without a gcd on the wide numerator
+and denominator.  Both must agree exactly with the
 direct formulas kept here as references: one long division, two
 squarings, str(), and Fraction arithmetic.
 """
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from surdseq.approx import (
     certify_digits,
     floor_root_scaled,
 )
+from surdseq.newton import newton_run
 
 
 def reference_certify(a, b, k, h, digits):
@@ -47,6 +49,18 @@ def reference_approximate(k, h, digits, method):
 
 def same_fraction(x, y):
     return (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+
+def assert_same_bound(a, b, k, h):
+    """_error_bound equals the reference on numerator, denominator and
+    hash, so it was built in lowest terms; small ones are checked
+    for lowest terms directly too."""
+    got, want = _error_bound(a, b, k, h), reference_error_bound(a, b, k, h)
+    assert same_fraction(got, want), (a, b, k, h)
+    assert hash(got) == hash(want)
+    assert type(got.numerator) is int and type(got.denominator) is int
+    if got.denominator.bit_length() <= 2000:
+        assert gcd(got.numerator, got.denominator) == 1
 
 
 @st.composite
@@ -76,7 +90,64 @@ def test_certify_matches_reference(case):
 @given(near_root_pairs())
 def test_error_bound_matches_reference(case):
     a, b, k, h, _ = case
-    assert same_fraction(_error_bound(a, b, k, h), reference_error_bound(a, b, k, h))
+    assert_same_bound(a, b, k, h)
+
+
+def smallest_odd_prime(n):
+    """Smallest odd prime factor of n >= 1, or None when n is a power of two."""
+    while n % 2 == 0 and n > 1:
+        n //= 2
+    q = 3
+    while q * q <= n:
+        if n % q == 0:
+            return q
+        q += 2
+    return n if n > 1 else None
+
+
+@given(near_root_pairs(), st.sampled_from(["h", "k", "k-1", "random"]),
+       st.sampled_from([3, 5, 7, 101, 9973, 999983, 2 ** 61 - 1]),
+       st.integers(min_value=1, max_value=3))
+def test_error_bound_when_the_pair_shares_an_odd_factor(case, source, random_prime, power):
+    # the reduced bound divides gcd(a, b) out first; a shared prime of
+    # h, k or k - 1 also divides the numbers the rest of the gcd is
+    # stripped with
+    a, b, k, h, _ = case
+    q = {"h": smallest_odd_prime(h), "k": smallest_odd_prime(k),
+         "k-1": smallest_odd_prime(max(k - 1, 1)), "random": random_prime}[source]
+    factor = (q or random_prime) ** power
+    assert_same_bound(a * factor, b * factor, k, h)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=1),
+       st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=10 ** 6), st.integers(min_value=-2, max_value=2))
+def test_error_bound_when_q_divides_b_and_h(q, f, vk, extra, k0, h0, b0, offset):
+    # q^f divides b and v_q(h) = v_q(k b^2) (+ extra): there h a^2 - k b^2
+    # can be divisible by a higher power of q than h is, the edge of the
+    # argument that the common factor divides (k h g^2 - p^2) h g
+    k, h, b = q ** vk * k0, q ** (2 * f + vk + extra) * h0, q ** f * b0
+    assert_same_bound(max(isqrt(k * b * b // h) + offset, 0), b, k, h)
+
+
+@given(st.integers(min_value=2, max_value=100), st.integers(min_value=1, max_value=100),
+       st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=10 ** 40),
+       st.integers(min_value=-3, max_value=3))
+def test_error_bound_when_kh_is_square(j, x, y, b, offset):
+    # k = j x^2 and h = j y^2 > 1: k h is a square and sqrt(k/h) = x/y
+    k, h = j * x * x, j * y * y
+    assert_same_bound(max(x * b // y + offset, 0), b, k, h)
+    assert_same_bound(x * b, y * b, k, h)
+    assert _error_bound(x * b, y * b, k, h) == 0
+
+
+@pytest.mark.parametrize("k, h", [(2, 3), (2, 10001), (5, 7), (3, 4), (7, 12), (13, 52),
+                                  (10 ** 6 + 3, 9973), (2, 8), (3, 12)])
+def test_error_bound_on_the_newton_orbit(k, h):
+    # with h > 1 the orbit's pairs share ever wider common factors
+    for state in newton_run(k, 10, h):
+        assert_same_bound(state.a, state.b, k, h)
 
 
 @given(

@@ -2,10 +2,13 @@
 import csv
 import io
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from surdseq.cli import main
+from surdseq.approx import Method, approximate
+from surdseq.cli import _plain_value, main
 from surdseq.newton import newton_run
 
 
@@ -107,6 +110,71 @@ def test_approx_json(capsys):
     row = doc["rows"][0]
     assert row["digits"] == "0.81649658"
     assert "/" in row["error_bound"]
+
+
+def plain_reference(value):
+    """Plain output of an int as first written: str() of the whole
+    value, cut after 60 characters."""
+    text = str(value)
+    if len(text) > 60:
+        return text[:60] + f"…({value.bit_length()} bits)"
+    return text
+
+
+def test_plain_ints_match_str():
+    rng = random.Random(7)
+    values = [0, 1, -1, 2 ** 196, 2 ** 199, -(2 ** 199)]
+    for e in range(55, 3000, 13):
+        values += [10 ** e - 1, 10 ** e, 10 ** e + 1, -(10 ** e - 1), -(10 ** e),
+                   rng.randrange(10 ** e), -rng.randrange(10 ** e)]
+    for bits in range(1, 1500, 7):
+        values += [rng.getrandbits(bits), -rng.getrandbits(bits)]
+    for value in values:
+        assert _plain_value(value) == plain_reference(value), value
+    assert _plain_value(True) == "True"
+
+
+def test_plain_fraction_cuts_each_long_side():
+    short, long_ = 15625, 3 ** 400
+    assert _plain_value(Fraction(short, long_)) == f"{short}/{plain_reference(long_)}"
+    assert _plain_value(Fraction(long_, short)) == f"{plain_reference(long_)}/{short}"
+    assert _plain_value(Fraction(-long_, 7 ** 300)) == (
+        f"{plain_reference(-long_)}/{plain_reference(7 ** 300)}")
+    assert _plain_value(Fraction(long_)) == plain_reference(long_)
+    assert _plain_value(Fraction(-3, 4)) == "-3/4"
+
+
+def test_approx_readme_example_plain(capsys):
+    code, out, _ = run(capsys, "approx", "--k", "2", "--h", "3", "--digits", "30",
+                       "--method", "newton")
+    assert code == 0
+    assert out.splitlines() == [
+        "digits 0.816496580927726032732428024901",
+        "method newton",
+        "n_used 5",
+        "k 2",
+        "h 3",
+        "error_bound 15625/691399776814235107722029462690202888",
+    ]
+
+
+def test_approx_plain_cuts_a_wide_error_bound(capsys):
+    bound = approximate(11, 1, 600, Method.NEWTON).error_bound
+    code, out, _ = run(capsys, "approx", "--k", "11", "--digits", "600",
+                       "--method", "newton")
+    assert code == 0
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    assert lines["error_bound"] == (
+        f"{plain_reference(bound.numerator)}/{plain_reference(bound.denominator)}")
+    for fmt in ("csv", "json"):
+        code, out, _ = run(capsys, "approx", "--k", "11", "--digits", "600",
+                           "--method", "newton", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            printed = list(csv.reader(io.StringIO(out)))[1][-1]
+        else:
+            printed = json.loads(out)["rows"][0]["error_bound"]
+        assert printed == f"{bound.numerator}/{bound.denominator}"
 
 
 def test_approx_usage_errors(capsys):
