@@ -10,8 +10,8 @@ from surdseq import (
     closed_form_term,
     coupled_iterate,
     genfunc_coeffs,
-    interleave_check,
     reduced_cd,
+    run_suite,
 )
 from surdseq.sequences import a_genfunc, b_genfunc
 
@@ -50,6 +50,7 @@ for n in range(8):
 
 print()
 print("One seeded second-order recurrence tiles the even and odd halves")
-print("of the base pair; interleave_check confirms all five relations:")
-for name, ok in interleave_check(K, 15).items():
-    print(f"  {name}: {'ok' if ok else 'BROKEN'}")
+print("of the base pair; the strategies suite confirms all five relations:")
+for rep in run_suite("strategies", K, K, 30):
+    if rep.identity.startswith("interleave_"):
+        print(f"  {rep.identity}: {'ok' if rep.passed else 'BROKEN'} ({rep.passes} cases)")

@@ -50,9 +50,10 @@ from .sequences import (
     coupled_iterate,
     coupled_stream,
     genfunc_coeffs,
-    interleave_check,
+    recurrence,
     reduced_cd,
     second_order_iterate,
+    terms,
 )
 from .verify import run_suite
 
@@ -93,7 +94,6 @@ __all__ = [
     "floor_root_scaled",
     "genfunc_coeffs",
     "index_double",
-    "interleave_check",
     "isqrt",
     "newton_binomial_sum",
     "newton_closed_form",
@@ -104,11 +104,13 @@ __all__ = [
     "pell_residual",
     "perfect_square_root",
     "product_limit_gap",
+    "recurrence",
     "reduced_cd",
     "root_of",
     "run_suite",
     "second_order_iterate",
     "sqrt_double",
+    "terms",
     "two_power_ladder",
     "__version__",
 ]

@@ -20,8 +20,7 @@ from typing import Sequence
 from . import newton as newton_mod
 from .approx import Method, approximate, bench_methods
 from .exact import ConsistencyError
-from .products import cd_run
-from .sequences import Family, SeqSpec, coupled_iterate, reduced_cd, second_order_iterate
+from .sequences import Family, SeqSpec, terms
 from .verify import SUITE_NAMES, run_suite
 
 _PLAIN_LIMIT = 60
@@ -97,52 +96,30 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    count = args.count
-    _require(count >= 1, f"count must be positive, got {count}")
-    family = args.family
-    _require(args.r is None or family == "product",
-             "r applies to the product family only")
-    params = {"family": family, "count": count}
+    family = Family(args.family)
+    k = args.k
+    if family is Family.PRODUCT:
+        _require(args.k is None, "the product family takes --r, not --k")
+        _require(args.r is not None, "the product family needs --r")
+        k = args.r
+    else:
+        _require(args.r is None, "r applies to the product family only")
+    spec = SeqSpec(family, k=k, h=args.h, m=args.m, seed=args.seed)
+    values = terms(spec, args.count)
+
+    params = {"family": args.family, "count": args.count}
     for key in ("k", "h", "m", "r"):
         value = getattr(args, key)
         if value is not None and not (key == "h" and value == 1):
             params[key] = value
     if args.seed is not None:
         params["seed"] = list(args.seed)
-
-    if family in ("ab", "tilde", "uv"):
-        spec = SeqSpec(Family(family), k=args.k, h=args.h)
-        rows = [{"n": t.n, "a": t.num, "b": t.den}
-                for t in coupled_iterate(spec, count)]
-    elif family == "cd":
-        spec = SeqSpec(Family.CD_REDUCED, k=args.k, m=args.m)
-        rows = [{"n": t.n, "a": t.num, "b": t.den}
-                for t in reduced_cd(spec.m, count)]
-    elif family == "w":
-        spec = SeqSpec(Family.W_FAMILY, k=args.k, seed=args.seed)
-        k = spec.k
-        values = second_order_iterate(2 * (k + 1), -((k - 1) ** 2),
-                                      *spec.seed, count)
-        rows = [{"n": n, "value": v} for n, v in enumerate(values)]
-    elif family == "u2":
-        spec = SeqSpec(Family.U_FAMILY, k=args.k, m=args.m, seed=args.seed)
-        m = spec.m
-        values = second_order_iterate(2 * (m + 1), -(m * m), *spec.seed, count)
-        rows = [{"n": n, "value": v} for n, v in enumerate(values)]
-    elif family == "newton":
-        _require(args.k is not None, "the newton family needs --k")
-        rows = [{"n": st.n, "a": st.a, "b": st.b}
-                for st in newton_mod.newton_run(args.k, count - 1, args.h)]
-    elif family == "product":
-        _require(args.k is None and args.h == 1,
-                 "the product family takes --r, not --k or --h")
-        _require(args.r is not None, "the product family needs --r")
-        rows = [{"n": st.n, "a": st.c, "b": st.d}
-                for st in cd_run(args.r, count - 1)]
+    if spec.seed is None:  # only the w and u2 families take seeds, and give plain values
+        columns = ["n", "a", "b"]
+        rows = [{"n": t.n, "a": t.num, "b": t.den} for t in values]
     else:
-        raise ValueError(f"unknown family {family!r}")
-
-    columns = ["n", "value"] if family in ("w", "u2") else ["n", "a", "b"]
+        columns = ["n", "value"]
+        rows = [{"n": n, "value": v} for n, v in enumerate(values)]
     _emit(args, "seq", params, columns, rows)
     return 0
 
@@ -256,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="plain", help="output format")
 
     p = sub.add_parser("seq", help="print terms of one sequence family")
-    p.add_argument("--family", required=True,
-                   choices=["ab", "tilde", "uv", "cd", "w", "u2",
-                            "newton", "product"])
+    p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--k", type=int, help="radicand parameter")
     p.add_argument("--h", type=int, default=1,
                    help="denominator parameter (uv and newton)")

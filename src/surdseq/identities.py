@@ -1,21 +1,17 @@
 """Index arithmetic on the base pair: doubling, addition, fast jumps.
 
-All of these trade long iteration for a handful of big multiplies.
-Where an identity is cheap to confirm against plain iteration, the
-function confirms it before returning; the logarithmic routines are
-instead exercised by the verification suites, since checking them
-directly would erase their advantage.
+All of these trade long iteration for a handful of big multiplies:
+their input terms come from fast_term.  Where an identity is cheap to
+confirm against a closed value or one more fast_term, the function
+confirms it before returning; the others are exercised by the
+verification suites against plain iteration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .exact import ConsistencyError, perfect_square_root
-from .sequences import Family, SeqSpec, TermPair, coupled_iterate
-
-
-def _ab_terms(k: int, count: int) -> list[TermPair]:
-    return coupled_iterate(SeqSpec(Family.AB, k=k), count)
+from .sequences import TermPair
 
 
 def pell_residual(k: int, n: int) -> int:
@@ -28,7 +24,7 @@ def pell_residual(k: int, n: int) -> int:
         raise ValueError(f"k must be at least 1, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    _, a, b = _ab_terms(k, n + 1)[n]
+    _, a, b = _power_pair(k, n)
     residual = a * a - k * b * b
     if residual != (1 - k) ** (n + 1):
         raise ConsistencyError(f"residual broke at k={k}, n={n}: got {residual}")
@@ -38,16 +34,18 @@ def pell_residual(k: int, n: int) -> int:
 def index_double(k: int, n: int) -> int:
     """a_{2n} from the two terms a_{n-1}, a_n alone.
 
-    Uses a_{2n} = 2 a_{n-1} a_n - (1-k)^n and checks the result
-    against direct iteration before handing it back.
+    Uses a_{2n} = 2 a_{n-1} a_n - (1-k)^n, with a_{n-1} = a_n - k b_{n-1}
+    and b_{n-1} = (a_n - b_n)/(k - 1), and checks the result against
+    fast_term at 2n before handing it back.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if n < 1:
         raise ValueError(f"index must be at least 1, got {n}")
-    terms = _ab_terms(k, 2 * n + 1)
-    doubled = 2 * terms[n - 1].num * terms[n].num - (1 - k) ** n
-    if doubled != terms[2 * n].num:
+    _, a_n, b_n = fast_term(k, n)
+    a_prev = a_n - k * ((a_n - b_n) // (k - 1))
+    doubled = 2 * a_prev * a_n - (1 - k) ** n
+    if doubled != fast_term(k, 2 * n).num:
         raise ConsistencyError(f"index doubling broke at k={k}, n={n}")
     return doubled
 
@@ -110,7 +108,9 @@ def addition_jump(k: int, m: int, n: int) -> TermPair:
     The b side is the index addition formula as it stands.  The a side
     needs b_{m+n}, whose own formula wants b_{n-1}; substituting
     b_{n-1} = (a_n - b_n)/(k - 1) makes the k - 1 cancel, so the whole
-    computation stays on the four allowed indices.
+    computation stays on the four allowed indices.  Those come from
+    fast_term at m and n, with b_{m-1} = (a_m - b_m)/(k - 1) and
+    b_{n+1} = a_n + b_n.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -118,10 +118,10 @@ def addition_jump(k: int, m: int, n: int) -> TermPair:
         raise ValueError(f"m must be at least 1, got {m}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    terms = _ab_terms(k, max(m, n + 1) + 1)
-    b_prev, b_m = terms[m - 1].den, terms[m].den
-    a_n, b_n = terms[n].num, terms[n].den
-    b_next = terms[n + 1].den
+    _, a_m, b_m = fast_term(k, m)
+    _, a_n, b_n = fast_term(k, n)
+    b_prev = (a_m - b_m) // (k - 1)
+    b_next = a_n + b_n
     b_hi = (k - 1) * b_prev * b_n + b_m * b_next
     b_lo = b_prev * (a_n - b_n) + b_m * b_n
     return TermPair(m + n + 1, (k - 1) * b_lo + b_hi, b_hi)
@@ -138,6 +138,11 @@ def fast_term(k: int, n: int) -> TermPair:
         raise ValueError(f"k must be at least 2, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    return _power_pair(k, n)
+
+
+def _power_pair(k: int, n: int) -> TermPair:
+    # fast_term's binary powering, also valid for k = 1 (a_n = b_n = 2^n)
     p, q = 1, 1
     for bit in bin(n + 1)[3:]:
         p, q = p * p + k * q * q, 2 * p * q

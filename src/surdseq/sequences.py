@@ -4,6 +4,8 @@ The same family of numbers is reachable four independent ways: the
 coupled first-order system, a collapsed second-order recurrence,
 binomial summations, and closed forms in quadratic surds.  Keeping all
 four alive is the point; they cross-check each other term by term.
+`terms` serves every family, the Newton and product orbits included,
+from the one evaluator that defines it.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ from itertools import islice
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
+from .newton import newton_run
+from .products import cd_run
 from .quad import QuadSurd, as_exact_int, root_of
 
 
@@ -24,6 +28,8 @@ class Family(Enum):
     CD_REDUCED = "cd"      # AB for odd k with powers of two divided out
     W_FAMILY = "w"         # seeded w_n = 2(k+1) w_{n-1} - (k-1)^2 w_{n-2}
     U_FAMILY = "u2"        # seeded u_n = 2(m+1) u_{n-1} - m^2 u_{n-2}
+    NEWTON = "newton"      # exact Newton orbit toward sqrt(k/h) from (1, 1)
+    PRODUCT = "product"    # the (c, d) doubling orbit of r, carried in k
 
 
 class TermPair(NamedTuple):
@@ -38,13 +44,19 @@ _COUPLED_START = {
     Family.UV: (1, 0),
 }
 
+_TAKES_H = (Family.UV, Family.NEWTON)
+_TAKES_M = (Family.CD_REDUCED, Family.U_FAMILY)
+_SEEDED = (Family.W_FAMILY, Family.U_FAMILY)
+
 
 @dataclass(frozen=True)
 class SeqSpec:
     """Which family to generate, plus its parameters.
 
     k and m are tied by k = 2m + 1 for the cd and u2 families; giving
-    either one is enough.  h only applies to uv, seeds only to w/u2.
+    either one is enough.  h applies to uv and newton only, seeds to
+    w/u2 only, and the product family carries its r in k.  Any other
+    parameter is rejected.
     """
 
     family: Family
@@ -57,9 +69,9 @@ class SeqSpec:
         fam = self.family
         if self.h < 1:
             raise ValueError(f"h must be at least 1, got {self.h}")
-        if fam is not Family.UV and self.h != 1:
-            raise ValueError(f"h applies to the uv family only, not {fam.value}")
-        if fam in (Family.CD_REDUCED, Family.U_FAMILY):
+        if fam not in _TAKES_H and self.h != 1:
+            raise ValueError(f"h applies to the uv and newton families only, not {fam.value}")
+        if fam in _TAKES_M:
             k, m = self.k, self.m
             if m is None:
                 if k is None or k < 1 or k % 2 == 0:
@@ -76,13 +88,62 @@ class SeqSpec:
         else:
             if self.m is not None:
                 raise ValueError(f"m applies to cd/u2 families only, not {fam.value}")
-            if self.k is None or self.k < 1:
-                raise ValueError(f"{fam.value} needs k >= 1, got {self.k}")
-        if fam in (Family.W_FAMILY, Family.U_FAMILY):
+            least = 2 if fam in (Family.NEWTON, Family.PRODUCT) else 1
+            name = "r" if fam is Family.PRODUCT else "k"
+            if self.k is None or self.k < least:
+                raise ValueError(f"{fam.value} needs {name} >= {least}, got {self.k}")
+        if fam in _SEEDED:
             if self.seed is None:
                 raise ValueError(f"{fam.value} needs a seed pair (w0, w1)")
         elif self.seed is not None:
             raise ValueError(f"seeds apply to w/u2 families only, not {fam.value}")
+
+
+def terms(spec: SeqSpec, count: int) -> list[TermPair] | list[int]:
+    """First `count` terms of any family, from the evaluator that
+    defines it: (n, numerator, denominator) pairs, or plain values for
+    the seeded w and u2 families.
+
+    Only the defining evaluator is picked here; every other route to
+    the same numbers stays a separate function, so that verify can
+    compare two computations that share no code.
+    """
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    match spec.family:
+        case Family.AB | Family.AB_TILDE | Family.UV:
+            return coupled_iterate(spec, count)
+        case Family.CD_REDUCED:
+            return reduced_cd(spec.m, count)
+        case Family.W_FAMILY | Family.U_FAMILY:
+            return second_order_iterate(*recurrence(spec), *spec.seed, count)
+        case Family.NEWTON:
+            return [TermPair(st.n, st.a, st.b)
+                    for st in newton_run(spec.k, count - 1, spec.h)]
+        case Family.PRODUCT:
+            return [TermPair(st.n, st.c, st.d) for st in cd_run(spec.k, count - 1)]
+    raise AssertionError(spec.family)
+
+
+def recurrence(spec: SeqSpec) -> tuple[int, int]:
+    """(p, q) of x_n = p x_{n-1} + q x_{n-2}, the second-order recurrence
+    a family obeys.
+
+    Both sides of ab, tilde and uv obey it (uv with hk in place of k),
+    and it generates w and u2 from their seeds.  The cd, newton and
+    product families obey none.
+    """
+    k = spec.k
+    match spec.family:
+        case Family.AB | Family.AB_TILDE:
+            return 2, k - 1
+        case Family.UV:
+            return 2, spec.h * k - 1
+        case Family.W_FAMILY:
+            return 2 * (k + 1), -((k - 1) ** 2)
+        case Family.U_FAMILY:
+            return 2 * (spec.m + 1), -(spec.m ** 2)
+    raise ValueError(f"{spec.family.value} obeys no second-order recurrence")
 
 
 def coupled_stream(spec: SeqSpec) -> Iterator[TermPair]:
@@ -378,30 +439,3 @@ def reduced_cd(m: int, count: int) -> list[TermPair]:
             d = as_exact_int((x - y) / (root * 2))
         out.append(TermPair(n, c, d))
     return out
-
-
-def interleave_check(k: int, n_max: int) -> dict[str, bool]:
-    """Check how the seeded second-order family tiles the base pair.
-
-    With d = w(1, k+1), u = w(0, 2k), v = w(0, 2) on the recurrence
-    w_n = 2(k+1) w_{n-1} - (k-1)^2 w_{n-2}, the even/odd interleave of
-    a and b is recovered, and u is k times v throughout.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    ab = coupled_iterate(SeqSpec(Family.AB, k=k), 2 * n_max + 2)
-    p, q = 2 * (k + 1), -((k - 1) ** 2)
-    span = n_max + 2
-    d = second_order_iterate(p, q, 1, k + 1, span)
-    u = second_order_iterate(p, q, 0, 2 * k, span)
-    v = second_order_iterate(p, q, 0, 2, span)
-    ns = range(n_max + 1)
-    return {
-        "a_even_is_d_plus_u": all(ab[2 * n].num == d[n] + u[n] for n in ns),
-        "a_odd_is_next_d": all(ab[2 * n + 1].num == d[n + 1] for n in ns),
-        "b_even_is_d_plus_v": all(ab[2 * n].den == d[n] + v[n] for n in ns),
-        "b_odd_is_next_v": all(ab[2 * n + 1].den == v[n + 1] for n in ns),
-        "u_is_k_times_v": all(u[n] == k * v[n] for n in ns),
-    }

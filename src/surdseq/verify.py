@@ -38,11 +38,11 @@ from .sequences import (
     binomial_term,
     c_genfunc,
     closed_form_term,
-    coupled_iterate,
     d_genfunc,
     genfunc_coeffs,
-    reduced_cd,
+    recurrence,
     second_order_iterate,
+    terms,
 )
 
 Case = tuple[int, int | None, object, object]
@@ -64,14 +64,15 @@ def _alt_h(k: int) -> int:
 
 def _strategies_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
     count = n_max + 1
-    ab = coupled_iterate(SeqSpec(Family.AB, k=k), count)
-    tilde = coupled_iterate(SeqSpec(Family.AB_TILDE, k=k), count)
     h = _alt_h(k)
-    uv = coupled_iterate(SeqSpec(Family.UV, k=k, h=h), count)
-    a2 = second_order_iterate(2, k - 1, 1, k + 1, count)
-    b2 = second_order_iterate(2, k - 1, 1, 2, count)
-    u2 = second_order_iterate(2, h * k - 1, 1, 1, count)
-    v2 = second_order_iterate(2, h * k - 1, 0, h, count)
+    ab_spec, uv_spec = SeqSpec(Family.AB, k=k), SeqSpec(Family.UV, k=k, h=h)
+    ab = terms(ab_spec, count)
+    tilde = terms(SeqSpec(Family.AB_TILDE, k=k), count)
+    uv = terms(uv_spec, count)
+    a2 = second_order_iterate(*recurrence(ab_spec), 1, k + 1, count)
+    b2 = second_order_iterate(*recurrence(ab_spec), 1, 2, count)
+    u2 = second_order_iterate(*recurrence(uv_spec), 1, 1, count)
+    v2 = second_order_iterate(*recurrence(uv_spec), 0, h, count)
 
     yield _sweep("a_second_order", k, n_max,
                  ((n, None, ab[n].num, a2[n]) for n in range(count)))
@@ -124,11 +125,8 @@ def _strategies_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
                   for n in range(count)))
 
     half = n_max // 2
-    p, q = 2 * (k + 1), -w
-    span = half + 2
-    d_seq = second_order_iterate(p, q, 1, k + 1, span)
-    u_seq = second_order_iterate(p, q, 0, 2 * k, span)
-    v_seq = second_order_iterate(p, q, 0, 2, span)
+    d_seq, u_seq, v_seq = (terms(SeqSpec(Family.W_FAMILY, k=k, seed=seed), half + 2)
+                           for seed in ((1, k + 1), (0, 2 * k), (0, 2)))
     yield _sweep("interleave_a_even", k, n_max,
                  ((n, None, ab[2 * n].num, d_seq[n] + u_seq[n]) for n in range(half + 1)))
     yield _sweep("interleave_a_odd", k, n_max,
@@ -143,7 +141,7 @@ def _strategies_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
 
 def _identities_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
     count = 2 * n_max + 2
-    ab = coupled_iterate(SeqSpec(Family.AB, k=k), count)
+    ab = terms(SeqSpec(Family.AB, k=k), count)
     a = [t.num for t in ab]
     b = [t.den for t in ab]
 
@@ -220,7 +218,7 @@ _NEWTON_DEPTH_CAP = 8  # index n means 2^n-bit-scale terms; 8 is plenty
 def _newton_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
     depth = min(n_max, _NEWTON_DEPTH_CAP)
     states = newton_run(k, depth)
-    base = coupled_iterate(SeqSpec(Family.AB, k=k), 2 ** depth)
+    base = terms(SeqSpec(Family.AB, k=k), 2 ** depth)
 
     def base_cases() -> Iterator[Case]:
         for st in states[1:]:
@@ -310,11 +308,13 @@ def _products_for_r(r: int, n_max: int) -> Iterator[IdentityReport]:
                   for st in states[1:]))
 
 
-def _reduction_for_m(m: int, n_max: int) -> Iterator[IdentityReport]:
-    k = 2 * m + 1
+def _reduction_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
+    if k % 2 == 0:
+        return  # the reduced pairs exist for odd k = 2m + 1 only
+    m = (k - 1) // 2
     count = n_max + 1
-    ab = coupled_iterate(SeqSpec(Family.AB, k=k), count)
-    cd = reduced_cd(m, count)
+    ab = terms(SeqSpec(Family.AB, k=k), count)
+    cd = terms(SeqSpec(Family.CD_REDUCED, m=m), count)
 
     def scale(n: int) -> int:
         return 2 ** (n // 2 + n % 2)
@@ -328,19 +328,15 @@ def _reduction_for_m(m: int, n_max: int) -> Iterator[IdentityReport]:
                   for n in range(count)))
 
     half = (count - 1) // 2
-    p, q = 2 * (m + 1), -(m * m)
-    span = half + 2
     seeded = (
-        ("reduction_c_even_seeded", [cd[2 * t].num for t in range(half + 1)],
-         second_order_iterate(p, q, 1, 3 * m + 2, span)),
+        ("reduction_c_even_seeded", [cd[2 * t].num for t in range(half + 1)], (1, 3 * m + 2)),
         ("reduction_c_odd_seeded", [cd[2 * t + 1].num for t in range(half)],
-         second_order_iterate(p, q, m + 1, m * m + 4 * m + 2, span)),
-        ("reduction_d_even_seeded", [cd[2 * t].den for t in range(half + 1)],
-         second_order_iterate(p, q, 1, m + 2, span)),
-        ("reduction_d_odd_seeded", [cd[2 * t + 1].den for t in range(half)],
-         second_order_iterate(p, q, 1, 2 * (m + 1), span)),
+         (m + 1, m * m + 4 * m + 2)),
+        ("reduction_d_even_seeded", [cd[2 * t].den for t in range(half + 1)], (1, m + 2)),
+        ("reduction_d_odd_seeded", [cd[2 * t + 1].den for t in range(half)], (1, 2 * (m + 1))),
     )
-    for label, values, expected in seeded:
+    for label, values, seed in seeded:
+        expected = terms(SeqSpec(Family.U_FAMILY, m=m, seed=seed), half + 2)
         yield _sweep(label, k, n_max,
                      ((t, None, values[t], expected[t]) for t in range(len(values))))
 
@@ -353,48 +349,13 @@ def _reduction_for_m(m: int, n_max: int) -> Iterator[IdentityReport]:
                      ((n, None, values[n], coeffs[n]) for n in range(count)))
 
 
-def _run_strategies(k_min: int, k_max: int, n_max: int) -> list[IdentityReport]:
-    out: list[IdentityReport] = []
-    for k in range(k_min, k_max + 1):
-        out.extend(_strategies_for_k(k, n_max))
-    return out
-
-
-def _run_identities(k_min: int, k_max: int, n_max: int) -> list[IdentityReport]:
-    out: list[IdentityReport] = []
-    for k in range(k_min, k_max + 1):
-        out.extend(_identities_for_k(k, n_max))
-    return out
-
-
-def _run_newton(k_min: int, k_max: int, n_max: int) -> list[IdentityReport]:
-    out: list[IdentityReport] = []
-    for k in range(k_min, k_max + 1):
-        out.extend(_newton_for_k(k, n_max))
-    return out
-
-
-def _run_products(k_min: int, k_max: int, n_max: int) -> list[IdentityReport]:
-    out: list[IdentityReport] = []
-    for r in range(k_min, k_max + 1):
-        out.extend(_products_for_r(r, n_max))
-    return out
-
-
-def _run_reduction(k_min: int, k_max: int, n_max: int) -> list[IdentityReport]:
-    out: list[IdentityReport] = []
-    for k in range(k_min, k_max + 1):
-        if k % 2:
-            out.extend(_reduction_for_m((k - 1) // 2, n_max))
-    return out
-
-
-_SUITES: dict[str, Callable[[int, int, int], list[IdentityReport]]] = {
-    "strategies": _run_strategies,
-    "identities": _run_identities,
-    "newton": _run_newton,
-    "products": _run_products,
-    "reduction": _run_reduction,
+# each suite yields its reports for one k (r for products) of the range
+_SUITES: dict[str, Callable[[int, int], Iterator[IdentityReport]]] = {
+    "strategies": _strategies_for_k,
+    "identities": _identities_for_k,
+    "newton": _newton_for_k,
+    "products": _products_for_r,
+    "reduction": _reduction_for_k,
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
@@ -418,5 +379,6 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
     names = list(_SUITES) if name == "all" else [name]
     out: list[IdentityReport] = []
     for suite in names:
-        out.extend(_SUITES[suite](k_min, k_max, n_max))
+        for k in range(k_min, k_max + 1):
+            out.extend(_SUITES[suite](k, n_max))
     return out

@@ -93,6 +93,47 @@ def test_seq_usage_errors(capsys, argv, fragment):
     assert fragment in err
 
 
+# a valid seq call per family, and which of --h, --m, --seed, --r it takes
+SEQ_BASE = {
+    "ab": ["--k", "2"],
+    "tilde": ["--k", "2"],
+    "uv": ["--k", "2", "--h", "3"],
+    "cd": ["--k", "7"],
+    "w": ["--k", "2", "--seed", "1,3"],
+    "u2": ["--k", "3", "--seed", "1,5"],
+    "newton": ["--k", "2"],
+    "product": ["--r", "3"],
+}
+TAKES = {
+    "ab": (), "tilde": (), "uv": ("--h",), "cd": ("--m",), "w": ("--seed",),
+    "u2": ("--m", "--seed"), "newton": ("--h",), "product": ("--r",),
+}
+STRAY = {"--h": "3", "--m": "5", "--seed": "1,2", "--r": "3"}
+
+
+def _stray_cases():
+    for family, base in SEQ_BASE.items():
+        for flag, value in STRAY.items():
+            if flag not in TAKES[family]:
+                yield pytest.param(family, base + [flag, value], id=f"{family}{flag}")
+
+
+@pytest.mark.parametrize("family,extra", list(_stray_cases()))
+def test_seq_rejects_parameters_the_family_does_not_take(capsys, family, extra):
+    code, out, err = run(capsys, "seq", "--family", family, *extra,
+                         "--count", "3", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("family", list(SEQ_BASE))
+def test_seq_base_calls_run(capsys, family):
+    code, out, _ = run(capsys, "seq", "--family", family, *SEQ_BASE[family], "--count", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
 def test_approx_plain_record(capsys):
     code, out, _ = run(capsys, "approx", "--k", "2", "--digits", "6")
     assert code == 0

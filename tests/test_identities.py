@@ -1,4 +1,6 @@
 """Index-jumping identities against plain iteration."""
+import time
+
 import pytest
 
 from surdseq.exact import ConsistencyError
@@ -124,6 +126,16 @@ def test_addition_jump_validation():
         addition_jump(2, 0, 2)
     with pytest.raises(ValueError):
         addition_jump(2, 2, -1)
+
+
+def test_identity_helpers_jump_instead_of_iterating():
+    # iterating up to these indices took seconds; fast_term takes milliseconds
+    started = time.perf_counter()
+    half = 5 * 10 ** 4
+    assert addition_jump(3, half, half) == fast_term(3, 2 * half + 1)
+    assert index_double(3, half) == fast_term(3, 2 * half).num
+    assert pell_residual(3, 2 * half) == (-2) ** (2 * half + 1)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_fast_term_matches_iteration():

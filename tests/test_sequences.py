@@ -20,9 +20,10 @@ from surdseq.sequences import (
     coupled_stream,
     d_genfunc,
     genfunc_coeffs,
-    interleave_check,
+    recurrence,
     reduced_cd,
     second_order_iterate,
+    terms,
 )
 
 
@@ -78,7 +79,16 @@ def test_coupled_count_must_be_positive():
     dict(family=Family.CD_REDUCED, k=5, m=1),
     dict(family=Family.CD_REDUCED, m=-1),
     dict(family=Family.W_FAMILY, k=2),
+    dict(family=Family.W_FAMILY, k=2, h=3, seed=(1, 3)),
     dict(family=Family.U_FAMILY, m=1),
+    dict(family=Family.CD_REDUCED, k=7, seed=(1, 2)),
+    dict(family=Family.NEWTON),
+    dict(family=Family.NEWTON, k=1),
+    dict(family=Family.NEWTON, k=2, m=5),
+    dict(family=Family.NEWTON, k=2, seed=(1, 2)),
+    dict(family=Family.PRODUCT, k=1),
+    dict(family=Family.PRODUCT, k=3, h=2),
+    dict(family=Family.PRODUCT, k=3, seed=(1, 2)),
 ])
 def test_spec_validation_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -210,10 +220,37 @@ def test_reduced_cd_validation():
         reduced_cd(2, 0)
 
 
-def test_interleave_check():
-    for k in (2, 3, 8):
-        assert all(interleave_check(k, 12).values())
-    with pytest.raises(ValueError):
-        interleave_check(0, 5)
-    with pytest.raises(ValueError):
-        interleave_check(2, -1)
+def test_terms_serves_every_family():
+    assert terms(SeqSpec(Family.AB, k=2), 3) == [(0, 1, 1), (1, 3, 2), (2, 7, 5)]
+    assert terms(SeqSpec(Family.AB_TILDE, k=5), 3) == [(0, 0, 1), (1, 5, 1), (2, 10, 6)]
+    assert terms(SeqSpec(Family.UV, k=2, h=3), 3) == [(0, 1, 0), (1, 1, 3), (2, 7, 6)]
+    assert terms(SeqSpec(Family.CD_REDUCED, m=1), 4) == reduced_cd(1, 4)
+    assert terms(SeqSpec(Family.W_FAMILY, k=2, seed=(1, 3)), 4) == [1, 3, 17, 99]
+    assert terms(SeqSpec(Family.U_FAMILY, k=3, seed=(1, 5)), 3) == [1, 5, 19]
+    assert terms(SeqSpec(Family.NEWTON, k=2), 4)[-1] == (3, 577, 408)
+    assert terms(SeqSpec(Family.NEWTON, k=2, h=3), 2) == [(0, 1, 1), (1, 5, 6)]
+    assert terms(SeqSpec(Family.PRODUCT, k=3), 3) == [(0, 1, 1), (1, 3, 1), (2, 17, 6)]
+
+
+def test_terms_count_must_be_positive():
+    for spec in (SeqSpec(Family.AB, k=2), SeqSpec(Family.PRODUCT, k=3)):
+        with pytest.raises(ValueError):
+            terms(spec, 0)
+
+
+def test_recurrence_generates_the_coupled_sides():
+    for spec in (SeqSpec(Family.AB, k=5), SeqSpec(Family.AB_TILDE, k=5),
+                 SeqSpec(Family.UV, k=5, h=3)):
+        pairs_ = terms(spec, 12)
+        for side in (0, 1):
+            values = [(t.num, t.den)[side] for t in pairs_]
+            assert second_order_iterate(*recurrence(spec), *values[:2], 12) == values
+
+
+def test_recurrence_of_the_seeded_families():
+    assert recurrence(SeqSpec(Family.W_FAMILY, k=2, seed=(1, 3))) == (6, -1)
+    assert recurrence(SeqSpec(Family.U_FAMILY, m=3, seed=(1, 1))) == (8, -9)
+    for spec in (SeqSpec(Family.CD_REDUCED, m=1), SeqSpec(Family.NEWTON, k=2),
+                 SeqSpec(Family.PRODUCT, k=3)):
+        with pytest.raises(ValueError):
+            recurrence(spec)

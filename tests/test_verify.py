@@ -64,3 +64,11 @@ def test_sweep_reports_first_failure():
 def test_sweep_counts_passes():
     report = _sweep("demo", 2, 3, ((n, None, n * n, n * n) for n in range(4)))
     assert report.passed and report.passes == 4
+
+
+def test_interleave_identities_tile_the_base_pair():
+    # the five relations of the seeded w family against the base pair
+    reports = [r for r in run_suite("strategies", 2, 8, 24)
+               if r.identity.startswith("interleave_")]
+    assert len(reports) == 5 * 7
+    assert all(r.passed and r.passes >= 12 for r in reports)
