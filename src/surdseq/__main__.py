@@ -1,0 +1,5 @@
+"""`python -m surdseq`: the surdseq command line."""
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

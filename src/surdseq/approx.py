@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .exact import ConsistencyError, isqrt, perfect_square_root
 from .identities import fast_term
-from .newton import newton_start, newton_step
+from .newton import check_domain
 from .sequences import Family, SeqSpec, coupled_stream
 
 
@@ -70,12 +70,20 @@ def _decimal(n: int, width: int) -> str:
     return "".join(pieces)
 
 
+def decimal_str(n: int) -> str:
+    """str(n), formatted by _decimal, so it works under any int->str cap
+    and costs less than str() on a long n."""
+    magnitude = abs(n)
+    # bit_length * 0.30103 + 1 is never below the digit count
+    width = int(magnitude.bit_length() * 0.30103) + 1
+    text = _decimal(magnitude, width).lstrip("0") or "0"
+    return "-" + text if n < 0 else text
+
+
 def _format_digits(t: int, digits: int, scale: int) -> str:
     """t / scale as a decimal string with `digits` places; scale = 10^digits."""
     whole, frac = divmod(t, scale)
-    # bit_length * 0.30103 + 1 is never below the digit count
-    width = int(whole.bit_length() * 0.30103) + 1
-    return (_decimal(whole, width).lstrip("0") or "0") + "." + _decimal(frac, digits)
+    return decimal_str(whole) + "." + _decimal(frac, digits)
 
 
 # Guard bits kept below the quotient's width when a and b are cut down
@@ -148,7 +156,11 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
 
 
 def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int]]:
-    """Yield (index, numerator, denominator) proposals for sqrt(k/h)."""
+    """Yield (index, numerator, denominator) proposals for sqrt(k/h).
+
+    NEWTON's pairs come in lowest terms; the other engines' may share
+    a factor.
+    """
     if method is Method.LINEAR:
         family = SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h)
         stream = coupled_stream(family)
@@ -168,10 +180,29 @@ def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int
             yield index, pair.num, pair.den
             index *= 2
     elif method is Method.NEWTON:
-        state = newton_start(k, h)
+        check_domain(k, h)
+        # The paper's step x -> (h x^2 + k) / (2 h x) is y -> (y^2 + K) / (2 y)
+        # on y = h x and K = h k, so the orbit of y from h (x = 1) is the
+        # paper's orbit scaled by h, without the factors h puts into its pairs.
+        # With a and b coprime, let an odd prime q divide both a' = a^2 + K b^2
+        # and b' = 2 a b.  Then q divides a (q | b would give q | a^2), not b,
+        # and so K.  With e = v_q(a) = v_q(b'), the shared power is
+        # min(v_q(a'), e): that is v_q(K) when v_q(K) < 2e, since then
+        # v_q(a') = v_q(K b^2) = v_q(K), and at most e <= v_q(K) otherwise.
+        # So once the twos are stripped, gcd(a', b') divides K, and one gcd
+        # of remainders by K leaves the pair coprime.
+        radicand = h * k
+        index, a, b = 0, h, 1
         while True:
-            state = newton_step(state)
-            yield state.n, state.a, state.b
+            a, b = _strip_twos(a * a + radicand * (b * b), (a * b) << 1)
+            common = gcd(a % radicand, b % radicand, radicand)
+            if common > 1:
+                a //= common
+                b //= common
+            index += 1
+            # no prime of a divides b, so gcd(a, h b) = gcd(a, h)
+            common = gcd(a % h, h)
+            yield index, a // common, h // common * b
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -190,6 +221,14 @@ else:
 
 
 def _error_bound(a: int, b: int, k: int, h: int) -> Fraction:
+    common = gcd(a, b)
+    if common > 1:
+        a //= common
+        b //= common
+    return _coprime_error_bound(a, b, k, h)
+
+
+def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
@@ -198,10 +237,6 @@ def _error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     guard = 10 ** 8
     radicand = k * h * guard * guard
     p = isqrt(radicand)
-    common = gcd(a, b)
-    if common > 1:
-        a //= common
-        b //= common
     num = abs(h * a * a - k * b * b) * guard
     den = b * (a * h * guard + p * b)
     if p * p == radicand:
@@ -242,11 +277,12 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
         raise ValueError(f"digits must be positive, got {digits}")
     scale = 10 ** digits
     scaled = k * scale * scale
+    error_bound = _coprime_error_bound if method is Method.NEWTON else _error_bound
     for index, num, den in _convergents(k, h, method):
         num, den = _strip_twos(num, den)
         out = _certify(num, den, k, h, digits, scale, scaled)
         if out is not None:
-            return ApproxResult(out, index, method, _error_bound(num, den, k, h), k, h)
+            return ApproxResult(out, index, method, error_bound(num, den, k, h), k, h)
     raise AssertionError("convergent stream is infinite")
 
 
@@ -341,6 +377,21 @@ class _MeteredInt(int):
         if not isinstance(other, int):
             return NotImplemented
         return self._wrap(int(other) // int(self))
+
+    def __lshift__(self, other: object) -> "_MeteredInt":
+        if not isinstance(other, int):
+            return NotImplemented
+        return self._wrap(int(self) << int(other))
+
+    def __rshift__(self, other: object) -> "_MeteredInt":
+        if not isinstance(other, int):
+            return NotImplemented
+        return self._wrap(int(self) >> int(other))
+
+    def __mod__(self, other: object) -> "_MeteredInt":
+        if not isinstance(other, int):
+            return NotImplemented
+        return self._wrap(int(self) % int(other))
 
     def __pow__(self, exponent: object, modulo: object = None) -> "_MeteredInt":
         if not isinstance(exponent, int) or modulo is not None:

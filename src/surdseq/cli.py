@@ -18,7 +18,7 @@ from math import log10
 from typing import Sequence
 
 from . import newton as newton_mod
-from .approx import Method, approximate, bench_methods
+from .approx import Method, approximate, bench_methods, decimal_str
 from .exact import ConsistencyError
 from .sequences import Family, SeqSpec, terms
 from .verify import SUITE_NAMES, run_suite
@@ -60,10 +60,17 @@ def _json_value(value: object) -> object:
     if isinstance(value, bool) or isinstance(value, float):
         return value
     if isinstance(value, int):
-        return str(value)
+        return decimal_str(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
     return str(value)
+
+
+def _csv_value(value: object) -> str:
+    """str(value), with ints and the sides of a Fraction through decimal_str."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        value = value.numerator  # str() prints a whole Fraction as n, json as n/1
+    return str(_json_value(value))
 
 
 def _emit(args: argparse.Namespace, command: str, params: dict,
@@ -80,7 +87,7 @@ def _emit(args: argparse.Namespace, command: str, params: dict,
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([str(row[c]) for c in columns])
+            writer.writerow([_csv_value(row[c]) for c in columns])
     elif record:
         for row in rows:
             for c in columns:
@@ -308,3 +315,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -41,13 +41,18 @@ class NewtonState:
         return Fraction(self.a, self.b)
 
 
-def newton_start(k: int, h: int = 1) -> NewtonState:
+def check_domain(k: int, h: int = 1) -> None:
+    """Raise ValueError unless the orbit from (1, 1) is defined for sqrt(k/h)."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     if h == k:
         raise ValueError("k = h starts on the root itself; nothing to iterate")
+
+
+def newton_start(k: int, h: int = 1) -> NewtonState:
+    check_domain(k, h)
     w = k - 1 if h == 1 else h - k
     return NewtonState(0, 1, 1, w, k, h)
 

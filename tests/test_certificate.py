@@ -5,10 +5,13 @@ away on bit lengths and formats by divide and conquer; _error_bound
 clears fractions and reduces them without a gcd on the wide numerator
 and denominator.  Both must agree exactly with the
 direct formulas kept here as references: one long division, two
-squarings, str(), and Fraction arithmetic.
+squarings, str(), and Fraction arithmetic.  The reference approximate
+walks the paper's own orbits through their public functions, not the
+engines approximate runs.
 """
 import sys
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt
 
 import pytest
@@ -18,11 +21,14 @@ from surdseq.approx import (
     Method,
     _convergents,
     _error_bound,
+    _strip_twos,
     approximate,
     certify_digits,
     floor_root_scaled,
 )
+from surdseq.identities import fast_term
 from surdseq.newton import newton_run
+from surdseq.sequences import Family, SeqSpec, coupled_stream
 
 
 def reference_certify(a, b, k, h, digits):
@@ -40,8 +46,31 @@ def reference_error_bound(a, b, k, h):
     return Fraction(abs(h * a * a - k * b * b)) / (h * b * b * (Fraction(a, b) + lower))
 
 
+def paper_orbit(k, h, method):
+    """(index, a, b) along the paper's orbit for one method: the ab or uv
+    pairs one index at a time, the ab pairs at indices 2^j, or the Newton
+    orbit from (1, 1)."""
+    if method is Method.LINEAR:
+        stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
+        next(stream)  # n = 0 has denominator 0 in the uv family
+        for pair in stream:
+            yield pair.n, pair.num, pair.den
+    elif method is Method.JUMP:
+        # documented domain: the h = 1 family, and no square k, whose
+        # candidates all lie below the root
+        if h != 1 or isqrt(k) ** 2 == k:
+            raise ValueError("index jumping needs h = 1 and a nonsquare k")
+        for j in count():
+            pair = fast_term(k, 2 ** j)
+            yield 2 ** j, pair.num, pair.den
+    else:
+        for n in count(1):
+            state = newton_run(k, n, h)[n]
+            yield n, state.a, state.b
+
+
 def reference_approximate(k, h, digits, method):
-    for index, num, den in _convergents(k, h, method):
+    for index, num, den in paper_orbit(k, h, method):
         out = reference_certify(num, den, k, h, digits)
         if out is not None:
             return out, index, reference_error_bound(num, den, k, h)
@@ -245,6 +274,40 @@ def test_approximate_matches_reference_grid(method):
                 got = approximate(k, h, digits, method)
                 assert (got.digits, got.n_used) == want[:2], (method, k, h, digits)
                 assert same_fraction(got.error_bound, want[2]), (method, k, h, digits)
+
+
+def assert_matches_reference(k, h, digits, method):
+    got = approximate(k, h, digits, method)
+    want = reference_approximate(k, h, digits, method)
+    assert (got.digits, got.n_used) == want[:2], (method, k, h, digits)
+    assert same_fraction(got.error_bound, want[2]), (method, k, h, digits)
+
+
+@pytest.mark.parametrize("k, h, digits", [
+    (6, 4, 60), (12, 18, 60), (45, 105, 80),   # gcd(k, h) > 1
+    (12, 4, 60), (18, 3, 60), (1000, 8, 90),   # h divides k
+    (5, 15, 60), (7, 91, 60), (3, 3000, 90),   # k divides h
+    (2, 8, 60), (3, 27, 60), (8, 2, 60), (50, 98, 70),  # k h is a square
+    (5197, 369, 189), (397, 93, 147), (4330, 27, 54),
+])
+def test_approximate_matches_reference_when_h_exceeds_one(k, h, digits):
+    assert_matches_reference(k, h, digits, Method.NEWTON)
+    if k * h <= 1000:
+        assert_matches_reference(k, h, digits, Method.LINEAR)
+
+
+@given(st.integers(min_value=2, max_value=10 ** 4), st.integers(min_value=1, max_value=10 ** 4))
+def test_newton_engine_pairs_are_the_orbit_in_lowest_terms(k, h):
+    if k == h:
+        with pytest.raises(ValueError):
+            next(_convergents(k, h, Method.NEWTON))
+        return
+    orbit = newton_run(k, 8, h)
+    for (index, a, b), state in zip(_convergents(k, h, Method.NEWTON), orbit[1:]):
+        assert index == state.n
+        a, b = _strip_twos(a, b)
+        assert gcd(a, b) == 1, (k, h, index)
+        assert a * state.b == b * state.a, (k, h, index)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -2,13 +2,18 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import surdseq
 from surdseq.approx import Method, approximate
-from surdseq.cli import _plain_value, main
+from surdseq.cli import _csv_value, _json_value, _plain_value, main
 from surdseq.newton import newton_run
 
 
@@ -216,6 +221,31 @@ def test_approx_plain_cuts_a_wide_error_bound(capsys):
         else:
             printed = json.loads(out)["rows"][0]["error_bound"]
         assert printed == f"{bound.numerator}/{bound.denominator}"
+
+
+def test_json_and_csv_values_print_as_str_does():
+    # long ints go through divide and conquer, but print as str() would,
+    # quirks included: json writes a whole Fraction as "n/1", csv as n
+    long = 7 ** 3000 + 12345
+    for n in (0, 1, -1, 10 ** 639, 10 ** 640, -(10 ** 640), long, -long):
+        assert _json_value(n) == str(n) == _csv_value(n)
+        for d in (1, 3, long):
+            assert _json_value(Fraction(n, d)) == (
+                f"{Fraction(n, d).numerator}/{Fraction(n, d).denominator}")
+            assert _csv_value(Fraction(n, d)) == str(Fraction(n, d))
+    assert _json_value(True) is True and _csv_value(True) == "True"
+    assert _json_value(2.5) == 2.5 and _csv_value(2.5) == "2.5"
+
+
+@pytest.mark.parametrize("module", ["surdseq", "surdseq.cli"])
+def test_python_dash_m_runs_the_cli(capsys, module):
+    argv = ["approx", "--k", "2", "--digits", "10"]
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(surdseq.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert out.startswith("digits 1.4142135623\n")
 
 
 def test_approx_usage_errors(capsys):
