@@ -16,9 +16,7 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .exact import ConsistencyError, isqrt, perfect_square_root
-from .identities import fast_term
 from .newton import check_domain
-from .sequences import Family, SeqSpec, coupled_stream
 
 
 class Method(Enum):
@@ -74,8 +72,8 @@ def decimal_str(n: int) -> str:
     """str(n), formatted by _decimal, so it works under any int->str cap
     and costs less than str() on a long n."""
     magnitude = abs(n)
-    # bit_length * 0.30103 + 1 is never below the digit count
-    width = int(magnitude.bit_length() * 0.30103) + 1
+    # 0.30103 > log10(2), so this is never below the digit count
+    width = magnitude.bit_length() * 30103 // 10 ** 5 + 1
     text = _decimal(magnitude, width).lstrip("0") or "0"
     return "-" + text if n < 0 else text
 
@@ -91,9 +89,14 @@ def _format_digits(t: int, digits: int, scale: int) -> str:
 _GUARD_BITS = 9
 
 
+def _shared_twos(a: int, b: int) -> int:
+    """The exponent of the power of two a and b share (b >= 1)."""
+    return ((a | b) & -(a | b)).bit_length() - 1
+
+
 def _strip_twos(a: int, b: int) -> tuple[int, int]:
     """a / b with the power of two both share divided out (b >= 1)."""
-    shift = ((a | b) & -(a | b)).bit_length() - 1
+    shift = _shared_twos(a, b)
     return a >> shift, b >> shift
 
 
@@ -155,18 +158,48 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     return _certify(a, b, k, h, digits, scale, k * scale * scale)
 
 
-def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int]]:
-    """Yield (index, numerator, denominator) proposals for sqrt(k/h).
+def _convergents(k: int, h: int, method: Method,
+                 scale_bits: int | None = None) -> Iterator[tuple[int, int, int, int | None]]:
+    """Yield (index, numerator, denominator, residual) proposals for sqrt(k/h).
 
-    NEWTON's pairs come in lowest terms; the other engines' may share
-    a factor.
+    scale_bits is the bit length of 10^D for D digits asked for; LINEAR
+    then leaves out every pair its residual proves too far from the
+    root to certify D digits, and None keeps them all.  LINEAR hands
+    over its residual h a^2 - k b^2; the other engines give None.
+
+    Once the power of two a pair shares is stripped, every engine's
+    pair is in lowest terms.  LINEAR's pairs are M^n e1 with
+    M = [[1, k], [h, 1]] (at h = 1, index n holds M^(n+1) e1), and
+    JUMP's are LINEAR's h = 1 pairs at other indices.  An odd prime q
+    dividing both sides of M^n e1 makes M singular mod q, so q divides
+    det M = 1 - h k.  Then M has the eigenvalues 0 and 2 mod q, which
+    differ, so M^n = 2^(n-1) M mod q, and M e1 = (1, h) is not 0 mod q.
     """
     if method is Method.LINEAR:
-        family = SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h)
-        stream = coupled_stream(family)
-        next(stream)  # n = 0 has denominator 0 in the uv family
-        for pair in stream:
-            yield pair.n, pair.num, pair.den
+        # coupled_stream's pairs at coupled_stream's indices, from n = 1
+        # (n = 0 has denominator 0 in the uv family).  The step maps
+        # r = h a^2 - k b^2 to (1 - h k) r, so r stays exact without a
+        # squaring.  |a/b - sqrt(k/h)| = |r| / (h b (a + b sqrt(k/h))),
+        # and a pair whose truncation certifies lies in the root's 10^-D
+        # cell, so within 10^-D of the root.  With c = isqrt(k // h) + 1,
+        # which is at least sqrt(k/h), h b (a + b c) is below
+        # 2^(bits(h) + bits(b) + max(bits(a), bits(b) + bits(c)) + 1),
+        # and |r| 10^D is at least 2^(bits(r) + bits(10^D) - 2).  When the
+        # second exponent reaches the first, the gap exceeds 10^-D and
+        # the pair is left out; r = 0 puts the pair on the root.
+        a, b, r = (1, 1, 1 - k) if h == 1 else (1, 0, h)
+        factor = 1 - h * k
+        h_bits = h.bit_length()
+        root_bits = (isqrt(k // h) + 1).bit_length()
+        slack = None if scale_bits is None else scale_bits - 2
+        index = 0
+        while True:
+            a, b, r = a + k * b, h * a + b, factor * r
+            index += 1
+            b_bits = b.bit_length()
+            if (slack is None or not r or r.bit_length() + slack
+                    < h_bits + b_bits + max(a.bit_length(), b_bits + root_bits) + 1):
+                yield index, a, b, r
     elif method is Method.JUMP:
         if h != 1:
             raise ValueError("index jumping works on the h = 1 family only")
@@ -174,10 +207,12 @@ def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int
             # every jump candidate lies below the exact root, so no
             # candidate would ever certify
             raise ValueError(f"index jumping never certifies a square k, got k={k}")
-        index = 1
+        # p + q sqrt(k) = (1 + sqrt(k))^index, squared once per step; the
+        # candidate at index is the next power, fast_term(k, index)
+        index, p, q = 1, 1, 1
         while True:
-            pair = fast_term(k, index)
-            yield index, pair.num, pair.den
+            yield index, p + k * q, p + q, None
+            p, q = p * p + k * (q * q), (p * q) << 1
             index *= 2
     elif method is Method.NEWTON:
         check_domain(k, h)
@@ -202,7 +237,7 @@ def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int
             index += 1
             # no prime of a divides b, so gcd(a, h b) = gcd(a, h)
             common = gcd(a % h, h)
-            yield index, a // common, h // common * b
+            yield index, a // common, h // common * b, None
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -228,7 +263,8 @@ def _error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     return _coprime_error_bound(a, b, k, h)
 
 
-def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
+def _coprime_error_bound(a: int, b: int, k: int, h: int, residual: int | None = None) -> Fraction:
+    # residual is h a^2 - k b^2 when the caller knows it.
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
@@ -237,7 +273,9 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     guard = 10 ** 8
     radicand = k * h * guard * guard
     p = isqrt(radicand)
-    num = abs(h * a * a - k * b * b) * guard
+    if residual is None:
+        residual = h * a * a - k * b * b
+    num = abs(residual) * guard
     den = b * (a * h * guard + p * b)
     if p * p == radicand:
         # k h is a square, which covers every zero residual
@@ -253,6 +291,21 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     shared = (radicand - p * p) * h * guard
     shared = gcd(num % shared, den % shared, shared)
     return _coprime_fraction(num // shared, den // shared)
+
+
+# A prime: a residual off by anything it does not divide fails the check.
+_RESIDUAL_MODULUS = 2 ** 61 - 1
+
+
+def _check_residual(a: int, b: int, k: int, h: int, residual: int) -> None:
+    """Raise ConsistencyError unless residual is h a^2 - k b^2 modulo
+    _RESIDUAL_MODULUS."""
+    m = _RESIDUAL_MODULUS
+    a_mod, b_mod = a % m, b % m
+    if (h * a_mod * a_mod - k * b_mod * b_mod - residual) % m:
+        raise ConsistencyError(
+            f"residual handed over for a {b.bit_length()}-bit denominator at sqrt({k}/{h}) "
+            f"is not h a^2 - k b^2")
 
 
 @dataclass(frozen=True)
@@ -277,12 +330,22 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
         raise ValueError(f"digits must be positive, got {digits}")
     scale = 10 ** digits
     scaled = k * scale * scale
-    error_bound = _coprime_error_bound if method is Method.NEWTON else _error_bound
-    for index, num, den in _convergents(k, h, method):
-        num, den = _strip_twos(num, den)
-        out = _certify(num, den, k, h, digits, scale, scaled)
-        if out is not None:
-            return ApproxResult(out, index, method, error_bound(num, den, k, h), k, h)
+    for index, num, den, residual in _convergents(k, h, method, scale.bit_length()):
+        shift = _shared_twos(num, den)
+        a, b = num >> shift, den >> shift
+        out = _certify(a, b, k, h, digits, scale, scaled)
+        if out is None:
+            continue
+        if residual is not None:
+            _check_residual(num, den, k, h, residual)
+            residual >>= 2 * shift
+        # every engine's pair is coprime once stripped (see _convergents);
+        # JUMP keeps gcd(a, b) until ROADMAP item 1 makes its skip measurable
+        if method is Method.JUMP:
+            bound = _error_bound(a, b, k, h)
+        else:
+            bound = _coprime_error_bound(a, b, k, h, residual)
+        return ApproxResult(out, index, method, bound, k, h)
     raise AssertionError("convergent stream is infinite")
 
 
@@ -405,6 +468,13 @@ class _MeteredInt(int):
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One engine's run in bench_methods.
+
+    iterations counts the candidates the certificate saw (LINEAR's are
+    only those its residual could not rule out); multiplications and
+    peak_bits meter the engine alone; wall_time_s covers both.
+    """
+
     method: Method
     k: int
     digits_requested: int
@@ -418,12 +488,15 @@ class BenchRecord:
 def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchRecord]:
     """Run each method to certification on sqrt(k), metering the work.
 
-    iterations counts certification attempts; multiplications and
-    peak_bits count the engine's big-integer traffic, measured by
-    seeding k itself as a metered integer.  The certificate runs on
-    plain ints and is not counted; wall_time_s includes it.  All
-    methods must land on the same digit string or the whole run is
-    thrown out as inconsistent.
+    iterations counts the candidates handed to the certificate: every
+    JUMP and NEWTON pair, but only the LINEAR pairs its residual cannot
+    rule out, so LINEAR's steps show in its multiplications (three per
+    step, one of them for the residual).  multiplications and peak_bits
+    count the engine's big-integer traffic, measured by seeding k
+    itself as a metered integer.  The certificate runs on plain ints
+    and is not counted; wall_time_s includes it.  All methods must land
+    on the same digit string or the whole run is thrown out as
+    inconsistent.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -440,7 +513,7 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
         started = time.perf_counter()
         iterations = 0
         certified = None
-        for _, num, den in _convergents(metered_k, 1, method):
+        for _, num, den, _ in _convergents(metered_k, 1, method, scale.bit_length()):
             iterations += 1
             # plain ints, so the meter counts engine work only
             num, den = _strip_twos(int(num), int(den))

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import log10
 from typing import Sequence
 
 from . import newton as newton_mod
@@ -31,12 +30,11 @@ def _plain_int(value: int) -> str:
 
     str() of a huge int can cost more than computing it, so only the
     leading digits are formatted.  An int of `bits` bits has at least
-    floor((bits - 1) log10(2)) + 1 digits, so dividing by 10^drop keeps
-    more than _PLAIN_LIMIT of them, with digits to spare for float
-    rounding in the estimate.
+    floor((bits - 1) log10(2)) + 1 digits, and 0.30102 < log10(2), so
+    dividing by 10^drop keeps more than _PLAIN_LIMIT of them.
     """
     magnitude = abs(value)
-    drop = max(int((magnitude.bit_length() - 1) * log10(2)) - _PLAIN_LIMIT - 2, 0)
+    drop = max((magnitude.bit_length() - 1) * 30102 // 10 ** 5 - _PLAIN_LIMIT - 2, 0)
     text = ("-" if value < 0 else "") + str(magnitude // 10 ** drop)
     if len(text) > _PLAIN_LIMIT:
         return text[:_PLAIN_LIMIT] + f"…({value.bit_length()} bits)"

@@ -10,13 +10,15 @@ walks the paper's own orbits through their public functions, not the
 engines approximate runs.
 """
 import sys
+from datetime import timedelta
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from surdseq import approx
 from surdseq.approx import (
     Method,
     _convergents,
@@ -26,6 +28,7 @@ from surdseq.approx import (
     certify_digits,
     floor_root_scaled,
 )
+from surdseq.exact import ConsistencyError
 from surdseq.identities import fast_term
 from surdseq.newton import newton_run
 from surdseq.sequences import Family, SeqSpec, coupled_stream
@@ -303,7 +306,7 @@ def test_newton_engine_pairs_are_the_orbit_in_lowest_terms(k, h):
             next(_convergents(k, h, Method.NEWTON))
         return
     orbit = newton_run(k, 8, h)
-    for (index, a, b), state in zip(_convergents(k, h, Method.NEWTON), orbit[1:]):
+    for (index, a, b, _), state in zip(_convergents(k, h, Method.NEWTON), orbit[1:]):
         assert index == state.n
         a, b = _strip_twos(a, b)
         assert gcd(a, b) == 1, (k, h, index)
@@ -324,3 +327,81 @@ def test_digits_beyond_default_int_str_cap():
             assert result.digits == truth[:1] + "." + truth[1:]
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def radicands():
+    # small values often, so that LINEAR's k h <= 10^3 is well covered
+    return st.one_of(st.integers(min_value=1, max_value=40),
+                     st.integers(min_value=1, max_value=10 ** 4))
+
+
+@settings(deadline=timedelta(seconds=10))
+@given(radicands(), radicands(), st.integers(min_value=1, max_value=200))
+def test_engines_match_floor_root_scaled(k, h, digits):
+    # every engine on every input it accepts; LINEAR accepts all, but
+    # above k h = 10^3 it takes minutes
+    raw = str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
+    truth = raw[:-digits] + "." + raw[-digits:]
+    accepts = {
+        Method.LINEAR: k * h <= 10 ** 3,
+        Method.JUMP: h == 1 and isqrt(k) ** 2 != k,
+        Method.NEWTON: k >= 2 and k != h,
+    }
+    for method, accepted in accepts.items():
+        if not accepted:
+            if method is not Method.LINEAR:
+                with pytest.raises(ValueError):
+                    approximate(k, h, digits, method)
+            continue
+        got = approximate(k, h, digits, method)
+        assert got.digits == truth, (method, k, h, digits)
+        if method is Method.LINEAR:
+            # the reference certifies every coupled_stream candidate, so
+            # the pairs LINEAR leaves out on its residual cannot move n_used
+            want = reference_approximate(k, h, digits, method)
+            assert got.n_used == want[1], (k, h, digits)
+            assert same_fraction(got.error_bound, want[2]), (k, h, digits)
+
+
+@pytest.mark.parametrize("k, h", [(1, 1), (2, 1), (7, 1), (9, 1), (10 ** 4, 1),
+                                  (1, 3), (2, 3), (9, 4), (3, 12), (10 ** 4, 9973)])
+def test_linear_engine_carries_the_residual(k, h):
+    stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
+    next(stream)
+    steps = 0
+    for (index, a, b, residual), pair in zip(islice(_convergents(k, h, Method.LINEAR), 200), stream):
+        assert (index, a, b) == (pair.n, pair.num, pair.den)
+        assert residual == h * a * a - k * b * b, (k, h, index)
+        steps += 1
+    assert steps == 200
+
+
+@pytest.mark.parametrize("k, h", [(2, 1), (7, 1), (2, 3), (5, 7), (10, 99)])
+@pytest.mark.parametrize("corrupt", [lambda r: r + 1, lambda r: -r, lambda r: 3 * r,
+                                     lambda r: r >> 1])
+def test_corrupted_residual_raises(monkeypatch, k, h, corrupt):
+    engine = approx._convergents
+
+    def corrupted(*args):
+        for index, a, b, residual in engine(*args):
+            yield index, a, b, corrupt(residual)
+
+    monkeypatch.setattr(approx, "_convergents", corrupted)
+    with pytest.raises(ConsistencyError):
+        approximate(k, h, 40, Method.LINEAR)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 4),
+       st.one_of(st.just(1), st.integers(min_value=1, max_value=10 ** 4)))
+def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
+    # the ab (h = 1) and uv families; approximate builds LINEAR's error
+    # bound without gcd(a, b) on the strength of this
+    for index, a, b, _ in islice(_convergents(k, h, Method.LINEAR), 40):
+        assert gcd(*_strip_twos(a, b)) == 1, (k, h, index)
+    if h == 1 and isqrt(k) ** 2 != k:
+        for index, a, b, _ in _convergents(k, 1, Method.JUMP):
+            if index > 40:
+                break
+            pair = fast_term(k, index)
+            assert (a, b) == (pair.num, pair.den)
+            assert gcd(*_strip_twos(a, b)) == 1, (k, index)
