@@ -25,12 +25,11 @@ print(f"  |a/b - root| <= {result.error_bound.numerator}"
       f"/{result.error_bound.denominator}")
 
 print()
-print("bench races the engines to the same digit string and meters each")
-print("engine's big-integer work; the certificate is not counted (the")
-print("digits must agree, or it raises):")
+print("bench races the engines to the same digit string through")
+print("approximate and times each whole call (the digits must agree, or")
+print("it raises):")
 records = bench_methods(2, 60, list(Method))
-print(f"  {'method':<8} {'iters':>5} {'big mults':>9} {'peak bits':>9}")
+print(f"  {'method':<8} {'n_used':>6} {'ms':>8}")
 for rec in records:
-    print(f"  {rec.method.value:<8} {rec.iterations:>5} "
-          f"{rec.multiplications:>9} {rec.peak_bits:>9}")
+    print(f"  {rec.method.value:<8} {rec.n_used:>6} {rec.wall_time_s * 1e3:>8.3f}")
 print(f"  agreed digits: {records[0].digits[:44]}...")

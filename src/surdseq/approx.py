@@ -255,16 +255,9 @@ else:
             return Fraction(n, m, _normalize=False)
 
 
-def _error_bound(a: int, b: int, k: int, h: int) -> Fraction:
-    common = gcd(a, b)
-    if common > 1:
-        a //= common
-        b //= common
-    return _coprime_error_bound(a, b, k, h)
-
-
 def _coprime_error_bound(a: int, b: int, k: int, h: int, residual: int | None = None) -> Fraction:
-    # residual is h a^2 - k b^2 when the caller knows it.
+    """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime
+    a and b >= 1; residual is h a^2 - k b^2 when the caller knows it."""
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
@@ -339,12 +332,8 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
         if residual is not None:
             _check_residual(num, den, k, h, residual)
             residual >>= 2 * shift
-        # every engine's pair is coprime once stripped (see _convergents);
-        # JUMP keeps gcd(a, b) until ROADMAP item 1 makes its skip measurable
-        if method is Method.JUMP:
-            bound = _error_bound(a, b, k, h)
-        else:
-            bound = _coprime_error_bound(a, b, k, h, residual)
+        # every engine's pair is coprime once stripped (see _convergents)
+        bound = _coprime_error_bound(a, b, k, h, residual)
         return ApproxResult(out, index, method, bound, k, h)
     raise AssertionError("convergent stream is infinite")
 
@@ -374,129 +363,24 @@ def cf_convergents(k: int, count: int) -> list[Fraction]:
     return out
 
 
-class _Meter:
-    """Tallies big-integer work done through _MeteredInt values."""
-
-    def __init__(self) -> None:
-        self.multiplications = 0
-        self.peak_bits = 0
-
-    def note(self, value: int) -> None:
-        bits = value.bit_length()
-        if bits > self.peak_bits:
-            self.peak_bits = bits
-
-
-class _MeteredInt(int):
-    """int that reports multiplications and operand size to a meter.
-
-    Seeding one computation parameter with this type is enough: every
-    arithmetic result is wrapped again, so the instrumentation spreads
-    through the whole orbit by itself.
-    """
-
-    meter: _Meter
-
-    def __new__(cls, value: int, meter: _Meter) -> "_MeteredInt":
-        obj = super().__new__(cls, value)
-        obj.meter = meter
-        meter.note(value)
-        return obj
-
-    def _wrap(self, value: int) -> "_MeteredInt":
-        return _MeteredInt(value, self.meter)
-
-    def __mul__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        self.meter.multiplications += 1
-        return self._wrap(int(self) * int(other))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(self) + int(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(self) - int(other))
-
-    def __rsub__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(other) - int(self))
-
-    def __floordiv__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(self) // int(other))
-
-    def __rfloordiv__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(other) // int(self))
-
-    def __lshift__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(self) << int(other))
-
-    def __rshift__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(self) >> int(other))
-
-    def __mod__(self, other: object) -> "_MeteredInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return self._wrap(int(self) % int(other))
-
-    def __pow__(self, exponent: object, modulo: object = None) -> "_MeteredInt":
-        if not isinstance(exponent, int) or modulo is not None:
-            return NotImplemented
-        self.meter.multiplications += max(int(exponent) - 1, 0)
-        return self._wrap(int(self) ** int(exponent))
-
-    def __neg__(self) -> "_MeteredInt":
-        return self._wrap(-int(self))
-
-
 @dataclass(frozen=True)
 class BenchRecord:
-    """One engine's run in bench_methods.
-
-    iterations counts the candidates the certificate saw (LINEAR's are
-    only those its residual could not rule out); multiplications and
-    peak_bits meter the engine alone; wall_time_s covers both.
-    """
+    """One engine's run in bench_methods: the approximate call's digits
+    and n_used, and its wall time, error bound included."""
 
     method: Method
     k: int
     digits_requested: int
     digits: str
-    iterations: int
-    multiplications: int
-    peak_bits: int
+    n_used: int
     wall_time_s: float
 
 
 def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchRecord]:
-    """Run each method to certification on sqrt(k), metering the work.
+    """Race each method to certification on sqrt(k) through approximate.
 
-    iterations counts the candidates handed to the certificate: every
-    JUMP and NEWTON pair, but only the LINEAR pairs its residual cannot
-    rule out, so LINEAR's steps show in its multiplications (three per
-    step, one of them for the residual).  multiplications and peak_bits
-    count the engine's big-integer traffic, measured by seeding k
-    itself as a metered integer.  The certificate runs on plain ints
-    and is not counted; wall_time_s includes it.  All methods must land
-    on the same digit string or the whole run is thrown out as
-    inconsistent.
+    All methods must land on the same digit string or the whole run is
+    thrown out as inconsistent.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -504,35 +388,12 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
         raise ValueError(f"digits must be positive, got {digits}")
     if not methods:
         raise ValueError("need at least one method")
-    scale = 10 ** digits
-    scaled = k * scale * scale
     records = []
     for method in methods:
-        meter = _Meter()
-        metered_k = _MeteredInt(k, meter)
         started = time.perf_counter()
-        iterations = 0
-        certified = None
-        for _, num, den, _ in _convergents(metered_k, 1, method, scale.bit_length()):
-            iterations += 1
-            # plain ints, so the meter counts engine work only
-            num, den = _strip_twos(int(num), int(den))
-            certified = _certify(num, den, k, 1, digits, scale, scaled)
-            if certified is not None:
-                break
+        result = approximate(k, 1, digits, method)
         elapsed = time.perf_counter() - started
-        records.append(
-            BenchRecord(
-                method=method,
-                k=k,
-                digits_requested=digits,
-                digits=certified,
-                iterations=iterations,
-                multiplications=meter.multiplications,
-                peak_bits=meter.peak_bits,
-                wall_time_s=elapsed,
-            )
-        )
+        records.append(BenchRecord(method, k, digits, result.digits, result.n_used, elapsed))
     for record in records[1:]:
         if record.digits != records[0].digits:
             raise ConsistencyError(

@@ -186,15 +186,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         "method": rec.method.value,
         "k": rec.k,
         "digits_requested": rec.digits_requested,
-        "iterations": rec.iterations,
-        "multiplications": rec.multiplications,
-        "peak_bits": rec.peak_bits,
+        "n_used": rec.n_used,
         "wall_time_s": rec.wall_time_s,
         "digits": rec.digits,
     } for rec in records]
     _emit(args, "bench", params,
-          ["method", "k", "digits_requested", "iterations",
-           "multiplications", "peak_bits", "wall_time_s", "digits"], rows)
+          ["method", "k", "digits_requested", "n_used", "wall_time_s", "digits"], rows)
     return 0
 
 

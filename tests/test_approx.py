@@ -1,19 +1,17 @@
-"""Digit certification, convergence behavior, and the bench meter."""
+"""Digit certification, convergence behavior, and the engine race in bench."""
 from fractions import Fraction
 
 import pytest
 
 from surdseq.approx import (
     Method,
-    _Meter,
-    _MeteredInt,
     approximate,
     bench_methods,
     certify_digits,
     cf_convergents,
     floor_root_scaled,
 )
-from surdseq.exact import cmp_to_root
+from surdseq.exact import ConsistencyError, cmp_to_root
 from surdseq.identities import fast_term
 from surdseq.newton import newton_run
 from surdseq.sequences import Family, SeqSpec, coupled_iterate
@@ -194,51 +192,30 @@ def test_base_pair_ratios_are_cf_convergents_for_small_k():
             assert Fraction(t.num, t.den) in cf
 
 
-def test_meter_counts_multiplications():
-    meter = _Meter()
-    x = _MeteredInt(3, meter)
-    y = x * 4
-    assert y == 12 and isinstance(y, _MeteredInt)
-    assert meter.multiplications == 1
-    _ = 5 * y
-    assert meter.multiplications == 2
-    z = y + 1
-    assert isinstance(z, _MeteredInt)
-    assert meter.multiplications == 2  # additions are free
-    _ = z ** 3
-    assert meter.multiplications == 4
-    assert meter.peak_bits >= (13 ** 3).bit_length()
-    # shifts and remainders keep the value metered, so an engine that
-    # strips or reduces its pair stays counted
-    assert z >> 1 == 6 and isinstance(z >> 1, _MeteredInt)
-    assert z << 1 == 26 and isinstance(z << 1, _MeteredInt)
-    assert z % 5 == 3 and isinstance(z % 5, _MeteredInt)
-    assert meter.multiplications == 4
-
-
 def test_bench_methods_agree_and_rank():
     records = bench_methods(2, 50, list(Method))
     assert len({rec.digits for rec in records}) == 1
     assert records[0].digits == format_truth(2, 1, 50)
     by_method = {rec.method: rec for rec in records}
-    assert by_method[Method.NEWTON].multiplications < by_method[Method.LINEAR].multiplications
+    assert by_method[Method.NEWTON].n_used < by_method[Method.LINEAR].n_used
     for rec in records:
-        assert rec.multiplications > 0
-        assert rec.peak_bits > 0
         assert rec.wall_time_s >= 0.0
 
 
 def test_bench_meters_engine_only():
-    # (iterations, multiplications, peak bits): the certificate runs on
-    # plain ints, so a change to it cannot move these; LINEAR's
-    # iterations are the candidates its residual could not rule out
+    # bench runs approximate itself, so its n_used is approximate's
     records = bench_methods(2, 50, list(Method))
-    got = {rec.method: (rec.iterations, rec.multiplications, rec.peak_bits) for rec in records}
-    assert got == {
-        Method.LINEAR: (3, 198, 85),
-        Method.JUMP: (8, 32, 164),
-        Method.NEWTON: (7, 31, 162),
-    }
+    got = {rec.method: rec.n_used for rec in records}
+    assert got == {Method.LINEAR: 66, Method.JUMP: 128, Method.NEWTON: 7}
+    for method, n_used in got.items():
+        assert n_used == approximate(2, 1, 50, method).n_used
+
+
+@pytest.mark.usefixtures("disagreeing_jump")
+def test_bench_raises_when_methods_disagree():
+    assert len(bench_methods(2, 20, [Method.LINEAR, Method.NEWTON])) == 2
+    with pytest.raises(ConsistencyError):
+        bench_methods(2, 20, list(Method))
 
 
 def test_bench_validation():

@@ -1,13 +1,13 @@
 """The certificate and the error bound against their plain formulas.
 
 certify_digits proposes from truncated operands, turns narrow pairs
-away on bit lengths and formats by divide and conquer; _error_bound
-clears fractions and reduces them without a gcd on the wide numerator
-and denominator.  Both must agree exactly with the
-direct formulas kept here as references: one long division, two
-squarings, str(), and Fraction arithmetic.  The reference approximate
-walks the paper's own orbits through their public functions, not the
-engines approximate runs.
+away on bit lengths and formats by divide and conquer;
+_coprime_error_bound takes a pair in lowest terms, clears fractions and
+reduces them without a gcd on the wide numerator and denominator.  Both
+must agree exactly with the direct formulas kept here as references:
+one long division, two squarings, str(), and Fraction arithmetic.  The
+reference approximate walks the paper's own orbits through their public
+functions, not the engines approximate runs.
 """
 import sys
 from datetime import timedelta
@@ -22,7 +22,7 @@ from surdseq import approx
 from surdseq.approx import (
     Method,
     _convergents,
-    _error_bound,
+    _coprime_error_bound,
     _strip_twos,
     approximate,
     certify_digits,
@@ -83,11 +83,17 @@ def same_fraction(x, y):
     return (x.numerator, x.denominator) == (y.numerator, y.denominator)
 
 
+def lowest_terms_bound(a, b, k, h):
+    """_coprime_error_bound on a / b with gcd(a, b) divided out first."""
+    common = gcd(a, b)
+    return _coprime_error_bound(a // common, b // common, k, h)
+
+
 def assert_same_bound(a, b, k, h):
-    """_error_bound equals the reference on numerator, denominator and
-    hash, so it was built in lowest terms; small ones are checked
-    for lowest terms directly too."""
-    got, want = _error_bound(a, b, k, h), reference_error_bound(a, b, k, h)
+    """The bound on a / b in lowest terms equals the reference on
+    numerator, denominator and hash, so it was built in lowest terms;
+    small ones are checked for lowest terms directly too."""
+    got, want = lowest_terms_bound(a, b, k, h), reference_error_bound(a, b, k, h)
     assert same_fraction(got, want), (a, b, k, h)
     assert hash(got) == hash(want)
     assert type(got.numerator) is int and type(got.denominator) is int
@@ -125,32 +131,6 @@ def test_error_bound_matches_reference(case):
     assert_same_bound(a, b, k, h)
 
 
-def smallest_odd_prime(n):
-    """Smallest odd prime factor of n >= 1, or None when n is a power of two."""
-    while n % 2 == 0 and n > 1:
-        n //= 2
-    q = 3
-    while q * q <= n:
-        if n % q == 0:
-            return q
-        q += 2
-    return n if n > 1 else None
-
-
-@given(near_root_pairs(), st.sampled_from(["h", "k", "k-1", "random"]),
-       st.sampled_from([3, 5, 7, 101, 9973, 999983, 2 ** 61 - 1]),
-       st.integers(min_value=1, max_value=3))
-def test_error_bound_when_the_pair_shares_an_odd_factor(case, source, random_prime, power):
-    # the reduced bound divides gcd(a, b) out first; a shared prime of
-    # h, k or k - 1 also divides the numbers the rest of the gcd is
-    # stripped with
-    a, b, k, h, _ = case
-    q = {"h": smallest_odd_prime(h), "k": smallest_odd_prime(k),
-         "k-1": smallest_odd_prime(max(k - 1, 1)), "random": random_prime}[source]
-    factor = (q or random_prime) ** power
-    assert_same_bound(a * factor, b * factor, k, h)
-
-
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=8),
        st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=1),
        st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30),
@@ -171,7 +151,7 @@ def test_error_bound_when_kh_is_square(j, x, y, b, offset):
     k, h = j * x * x, j * y * y
     assert_same_bound(max(x * b // y + offset, 0), b, k, h)
     assert_same_bound(x * b, y * b, k, h)
-    assert _error_bound(x * b, y * b, k, h) == 0
+    assert lowest_terms_bound(x * b, y * b, k, h) == 0
 
 
 @pytest.mark.parametrize("k, h", [(2, 3), (2, 10001), (5, 7), (3, 4), (7, 12), (13, 52),
@@ -193,7 +173,7 @@ def test_zero_residual_with_unit_k(m, c, digits):
     got = certify_digits(a, b, k, h, digits)
     assert got == reference_certify(a, b, k, h, digits)
     assert got is not None
-    assert _error_bound(a, b, k, h) == 0 == reference_error_bound(a, b, k, h)
+    assert lowest_terms_bound(a, b, k, h) == 0 == reference_error_bound(a, b, k, h)
 
 
 def test_certify_cuts_operands_when_b_is_wide():
@@ -394,13 +374,13 @@ def test_corrupted_residual_raises(monkeypatch, k, h, corrupt):
 @given(st.integers(min_value=1, max_value=10 ** 4),
        st.one_of(st.just(1), st.integers(min_value=1, max_value=10 ** 4)))
 def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
-    # the ab (h = 1) and uv families; approximate builds LINEAR's error
-    # bound without gcd(a, b) on the strength of this
+    # the ab (h = 1) and uv families; approximate builds LINEAR's and
+    # JUMP's error bounds without gcd(a, b) on the strength of this
     for index, a, b, _ in islice(_convergents(k, h, Method.LINEAR), 40):
         assert gcd(*_strip_twos(a, b)) == 1, (k, h, index)
     if h == 1 and isqrt(k) ** 2 != k:
         for index, a, b, _ in _convergents(k, 1, Method.JUMP):
-            if index > 40:
+            if index > 2 ** 12:
                 break
             pair = fast_term(k, index)
             assert (a, b) == (pair.num, pair.den)

@@ -291,10 +291,18 @@ def test_bench_plain_and_csv(capsys):
                        "--methods", "newton,linear", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][:3] == ["method", "k", "digits_requested"]
+    assert rows[0] == ["method", "k", "digits_requested", "n_used", "wall_time_s", "digits"]
     assert {row[0] for row in rows[1:]} == {"newton", "linear"}
     digits = {row[-1] for row in rows[1:]}
     assert len(digits) == 1
+
+
+@pytest.mark.usefixtures("disagreeing_jump")
+def test_bench_consistency_failure(capsys):
+    code, out, err = run(capsys, "bench", "--k", "2", "--digits", "20")
+    assert code == 1
+    assert out == ""
+    assert "consistency failure" in err
 
 
 def test_bench_usage_errors(capsys):
