@@ -36,7 +36,7 @@ from .newton import (
     newton_step,
 )
 from .products import ProductState, cd_closed_form, cd_run, partial_product, product_limit_gap
-from .quad import QuadSurd, as_exact_int, root_of
+from .quad import QuadSurd, as_exact_int, root_of, surd_pow, surd_square
 from .sequences import (
     Family,
     SeqSpec,
@@ -110,6 +110,8 @@ __all__ = [
     "run_suite",
     "second_order_iterate",
     "sqrt_double",
+    "surd_pow",
+    "surd_square",
     "terms",
     "two_power_ladder",
     "__version__",

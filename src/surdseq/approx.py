@@ -17,6 +17,7 @@ from typing import Iterator, Sequence
 
 from .exact import ConsistencyError, isqrt, perfect_square_root
 from .newton import check_domain
+from .quad import surd_square
 
 
 class Method(Enum):
@@ -212,7 +213,7 @@ def _convergents(k: int, h: int, method: Method,
         index, p, q = 1, 1, 1
         while True:
             yield index, p + k * q, p + q, None
-            p, q = p * p + k * (q * q), (p * q) << 1
+            p, q = surd_square(p, q, k)
             index *= 2
     elif method is Method.NEWTON:
         check_domain(k, h)
@@ -229,7 +230,7 @@ def _convergents(k: int, h: int, method: Method,
         radicand = h * k
         index, a, b = 0, h, 1
         while True:
-            a, b = _strip_twos(a * a + radicand * (b * b), (a * b) << 1)
+            a, b = _strip_twos(*surd_square(a, b, radicand))
             common = gcd(a % radicand, b % radicand, radicand)
             if common > 1:
                 a //= common

@@ -65,7 +65,8 @@ def _json_value(value: object) -> object:
 
 
 def _csv_value(value: object) -> str:
-    """str(value), with ints and the sides of a Fraction through decimal_str."""
+    """str(value), with ints and the sides of a Fraction through decimal_str,
+    so csv cells and verify witnesses print under any int->str cap."""
     if isinstance(value, Fraction) and value.denominator == 1:
         value = value.numerator  # str() prints a whole Fraction as n, json as n/1
     return str(_json_value(value))
@@ -160,7 +161,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failed += 1
             f = rep.failure
             at = f"n={f.n}" if f.m is None else f"n={f.n} m={f.m}"
-            witness = f"{at} lhs={f.lhs} rhs={f.rhs}"
+            witness = f"{at} lhs={_csv_value(f.lhs)} rhs={_csv_value(f.rhs)}"
         rows.append({
             "result": "PASS" if rep.passed else "FAIL",
             "identity": rep.identity,
@@ -287,12 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # the whole point of this tool is huge exact integers; lift the
-    # interpreter's digit cap on int-to-str conversion where present
-    try:
-        sys.set_int_max_str_digits(0)
-    except (AttributeError, ValueError):
-        pass
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

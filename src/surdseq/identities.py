@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ConsistencyError, perfect_square_root
+from .quad import surd_pow
 from .sequences import TermPair
 
 
@@ -24,7 +25,7 @@ def pell_residual(k: int, n: int) -> int:
         raise ValueError(f"k must be at least 1, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    _, a, b = _power_pair(k, n)
+    a, b = surd_pow(1, 1, k, n + 1)
     residual = a * a - k * b * b
     if residual != (1 - k) ** (n + 1):
         raise ConsistencyError(f"residual broke at k={k}, n={n}: got {residual}")
@@ -128,27 +129,13 @@ def addition_jump(k: int, m: int, n: int) -> TermPair:
 
 
 def fast_term(k: int, n: int) -> TermPair:
-    """(a_n, b_n) in O(log n) big multiplies via binary powering.
-
-    Walks the bits of n + 1 over the pair (p, q) standing for
-    p + q sqrt(k), squaring at each bit and multiplying in one more
-    factor of 1 + sqrt(k) when the bit is set.
-    """
+    """(a_n, b_n) as a_n + b_n sqrt(k) = (1 + sqrt(k))^(n+1), by surd_pow in
+    O(log n) multiplies; the identities suite checks it against iteration."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return _power_pair(k, n)
-
-
-def _power_pair(k: int, n: int) -> TermPair:
-    # fast_term's binary powering, also valid for k = 1 (a_n = b_n = 2^n)
-    p, q = 1, 1
-    for bit in bin(n + 1)[3:]:
-        p, q = p * p + k * q * q, 2 * p * q
-        if bit == "1":
-            p, q = p + k * q, p + q
-    return TermPair(n, p, q)
+    return TermPair(n, *surd_pow(1, 1, k, n + 1))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from math import comb
 from pathlib import Path
 
 from .exact import perfect_square_root
-from .quad import QuadSurd, as_exact_int, root_of
+from .quad import surd_pow
 
 # Published-series ids covered by the bundled data files, mapped to
 # the side of the k = 2 Newton orbit they list.
@@ -121,16 +121,13 @@ def b_product_form(k: int, n: int) -> int:
 
 
 def newton_closed_form(k: int, n: int) -> tuple[int, int]:
-    """(a_n, b_n) from the 2^n-th power of 1 + sqrt(k)."""
+    """(a_n, b_n) as a_n + b_n sqrt(k) = (1 + sqrt(k))^(2^n), by surd_pow;
+    the newton suite checks it against newton_run (newton_closed_form)."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    x = QuadSurd(1, 1, k) ** (2 ** n)
-    y = x.conj()
-    a = as_exact_int((x + y) * Fraction(1, 2))
-    b = as_exact_int((x - y) / (root_of(k) * 2))
-    return a, b
+    return surd_pow(1, 1, k, 2 ** n)
 
 
 def newton_binomial_sum(k: int, n: int, side: str = "a") -> int:
@@ -167,6 +164,19 @@ def generated_terms(series_id: str, count: int) -> list[int]:
     return [state.a if side == "a" else state.b for state in run]
 
 
+def _parse_term(token: str) -> int:
+    """int(token), read in pieces of at most 640 digits (the smallest
+    int->str cap an interpreter accepts), so it works under any cap."""
+    digits = token[1:] if token[:1] in "+-" else token
+    if not digits.isdecimal():
+        return int(token)  # int()'s own verdict on anything but plain digits
+    value = int(digits[:640])
+    for start in range(640, len(digits), 640):
+        piece = digits[start:start + 640]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if token[:1] == "-" else value
+
+
 def reference_terms(series_id: str, data_dir: str | Path | None = None) -> list[int]:
     """Load the bundled decimal terms for a published series id.
 
@@ -181,7 +191,7 @@ def reference_terms(series_id: str, data_dir: str | Path | None = None) -> list[
     path = root / f"{series_id}.txt"
     if not path.is_file():
         raise FileNotFoundError(f"reference terms not found at {path}")
-    terms = [int(token) for token in path.read_text().split()]
+    terms = [_parse_term(token) for token in path.read_text().split()]
     if len(terms) < 6:
         raise ValueError(f"{path} carries only {len(terms)} terms; expected 6 or more")
     return terms

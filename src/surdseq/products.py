@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ConsistencyError
-from .quad import QuadSurd, as_exact_int, root_of
+from .quad import surd_pow
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,13 @@ def cd_run(r: int, steps: int) -> list[ProductState]:
 
 
 def cd_closed_form(r: int, n: int) -> tuple[int, int]:
-    """(c_n, d_n) from the 2^(n-1)-th power of r + sqrt(r^2 - 1)."""
+    """(c_n, d_n) as c_n + d_n sqrt(r^2 - 1) = (r + sqrt(r^2 - 1))^(2^(n-1)),
+    by surd_pow; the products suite checks it against cd_run."""
     if r < 2:
         raise ValueError(f"r must be at least 2, got {r}")
     if n < 1:
         raise ValueError(f"closed forms start at n = 1, got {n}")
-    rad = r * r - 1
-    x = QuadSurd(r, 1, rad) ** (2 ** (n - 1))
-    y = x.conj()
-    c = as_exact_int((x + y) * Fraction(1, 2))
-    d = as_exact_int((x - y) / (root_of(rad) * 2))
-    return c, d
+    return surd_pow(r, 1, r * r - 1, 2 ** (n - 1))
 
 
 def partial_product(r: int, n: int) -> Fraction:

@@ -3,6 +3,8 @@
 The radicand is carried along unsimplified, so sqrt(4) stays a formal
 symbol instead of collapsing to 2.  Mixing two different radicands in
 one operation is an error; scalars (int, Fraction) combine freely.
+surd_square and surd_pow are the integer kernel for surd powers, on
+plain ints.
 """
 from __future__ import annotations
 
@@ -12,6 +14,24 @@ from fractions import Fraction
 from .exact import ConsistencyError
 
 _Scalar = (int, Fraction)
+
+
+def surd_square(p: int, q: int, d: int) -> tuple[int, int]:
+    """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^2."""
+    return p * p + d * (q * q), (p * q) << 1
+
+
+def surd_pow(p: int, q: int, d: int, e: int) -> tuple[int, int]:
+    """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^e, for e >= 0: square
+    at each bit of e from the top, times p + q sqrt(d) at each set bit."""
+    if e < 0:
+        raise ValueError(f"exponent must be nonnegative, got {e}")
+    big_p, big_q = 1, 0
+    for bit in bin(e)[2:]:
+        big_p, big_q = surd_square(big_p, big_q, d)
+        if bit == "1":
+            big_p, big_q = big_p * p + d * (big_q * q), big_p * q + big_q * p
+    return big_p, big_q
 
 
 @dataclass(frozen=True)

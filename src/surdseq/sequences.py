@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .newton import newton_run
 from .products import cd_run
-from .quad import QuadSurd, as_exact_int, root_of
+from .quad import QuadSurd, as_exact_int, root_of, surd_pow
 
 
 class Family(Enum):
@@ -116,7 +116,7 @@ def terms(spec: SeqSpec, count: int) -> list[TermPair] | list[int]:
         case Family.CD_REDUCED:
             return reduced_cd(spec.m, count)
         case Family.W_FAMILY | Family.U_FAMILY:
-            return second_order_iterate(*recurrence(spec), *spec.seed, count)
+            return second_order_iterate(*recurrence(spec), *spec.seed, max(count, 2))[:count]
         case Family.NEWTON:
             return [TermPair(st.n, st.a, st.b)
                     for st in newton_run(spec.k, count - 1, spec.h)]
@@ -411,31 +411,19 @@ def d_genfunc(m: int) -> tuple[list[int], list[int]]:
 def reduced_cd(m: int, count: int) -> list[TermPair]:
     """Reduced convergent pairs (c_n, d_n) for odd k = 2m + 1.
 
-    Evaluated from closed forms in gamma = m + 1 + sqrt(k).  Against
-    the base pair, c_{2t} is a_{2t} over 2^t and c_{2t+1} is a_{2t+1}
-    over 2^(t+1); the d side reduces b the same way.  Every term is
-    checked to land on an integer.
+    With P + Q sqrt(k) = (m + 1 + sqrt(k))^t by surd_pow, (c_{2t}, d_{2t})
+    is (P + kQ, P + Q) and (c_{2t-1}, d_{2t-1}) is (P, Q).  Against the
+    base pair, c_{2t} is a_{2t} over 2^t and c_{2t+1} is a_{2t+1} over
+    2^(t+1); the d side reduces b the same way.  The reduction suite
+    checks the terms against the base pair, u2 and the genfuncs.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     k = 2 * m + 1
-    gamma = QuadSurd(m + 1, 1, k)
-    root = root_of(k)
-    half = Fraction(1, 2)
     out: list[TermPair] = []
     for n in range(count):
-        t = n // 2
-        if n % 2 == 0:
-            x = gamma ** t
-            y = x.conj()
-            c = as_exact_int((x + y) * half + root * (x - y) * half)
-            d = as_exact_int((x + y) * half + (x - y) / (root * 2))
-        else:
-            x = gamma ** (t + 1)
-            y = x.conj()
-            c = as_exact_int((x + y) * half)
-            d = as_exact_int((x - y) / (root * 2))
-        out.append(TermPair(n, c, d))
+        p, q = surd_pow(m + 1, 1, k, (n + 1) // 2)
+        out.append(TermPair(n, p + k * q, p + q) if n % 2 == 0 else TermPair(n, p, q))
     return out

@@ -29,8 +29,8 @@ from surdseq.approx import (
     floor_root_scaled,
 )
 from surdseq.exact import ConsistencyError
-from surdseq.identities import fast_term
 from surdseq.newton import newton_run
+from surdseq.quad import QuadSurd
 from surdseq.sequences import Family, SeqSpec, coupled_stream
 
 
@@ -49,6 +49,14 @@ def reference_error_bound(a, b, k, h):
     return Fraction(abs(h * a * a - k * b * b)) / (h * b * b * (Fraction(a, b) + lower))
 
 
+def jump_reference(k, index):
+    """(a, b) at one JUMP index: a + b sqrt(k) = (1 + sqrt(k))^(index + 1)
+    by Fraction QuadSurd powering, which shares no code with the engine
+    beyond int."""
+    x = QuadSurd(1, 1, k) ** (index + 1)
+    return int(x.rat), int(x.coef)
+
+
 def paper_orbit(k, h, method):
     """(index, a, b) along the paper's orbit for one method: the ab or uv
     pairs one index at a time, the ab pairs at indices 2^j, or the Newton
@@ -64,8 +72,7 @@ def paper_orbit(k, h, method):
         if h != 1 or isqrt(k) ** 2 == k:
             raise ValueError("index jumping needs h = 1 and a nonsquare k")
         for j in count():
-            pair = fast_term(k, 2 ** j)
-            yield 2 ** j, pair.num, pair.den
+            yield 2 ** j, *jump_reference(k, 2 ** j)
     else:
         for n in count(1):
             state = newton_run(k, n, h)[n]
@@ -382,6 +389,5 @@ def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
         for index, a, b, _ in _convergents(k, 1, Method.JUMP):
             if index > 2 ** 12:
                 break
-            pair = fast_term(k, index)
-            assert (a, b) == (pair.num, pair.den)
+            assert (a, b) == jump_reference(k, index)
             assert gcd(*_strip_twos(a, b)) == 1, (k, index)

@@ -13,7 +13,9 @@ import pytest
 
 import surdseq
 from surdseq.approx import Method, approximate
+from surdseq import cli
 from surdseq.cli import _csv_value, _json_value, _plain_value, main
+from surdseq.identities import FailureWitness, IdentityReport
 from surdseq.newton import newton_run
 
 
@@ -352,3 +354,62 @@ def test_parser_level_exits(capsys):
     assert main(["seq", "--family", "w", "--k", "2", "--seed", "1;3",
                  "--count", "3"]) == 2
     capsys.readouterr()
+
+
+needs_str_cap = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                   reason="interpreter has no int->str digit cap")
+
+
+@pytest.fixture
+def default_str_cap():
+    """The interpreter's default int->str digit cap for the test, and
+    whatever cap was set before restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(before)
+
+
+@needs_str_cap
+@pytest.mark.parametrize("argv", [
+    ["seq", "--family", "newton", "--k", "2", "--count", "16", "--format", "json"],
+    ["approx", "--k", "2", "--digits", "5000", "--method", "newton", "--format", "csv"],
+    ["verify", "--suite", "products", "--k-min", "2", "--k-max", "2", "--n-max", "4"],
+    ["bench", "--k", "2", "--digits", "20"],
+    ["oeis", "--check", "A001601"],
+])
+def test_every_subcommand_leaves_the_str_cap_alone(capsys, default_str_cap, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert sys.get_int_max_str_digits() == default_str_cap
+
+
+@needs_str_cap
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_verify_prints_a_witness_wider_than_the_str_cap(capsys, monkeypatch,
+                                                        default_str_cap, fmt):
+    lhs, rhs = 10 ** 5000, Fraction(-(10 ** 5000) - 1, 2)
+    failure = FailureWitness(3, None, lhs, rhs)
+    monkeypatch.setattr(cli, "run_suite", lambda *args: [
+        IdentityReport("wide_identity", 2, 8, 3, failure)])
+    code, out, _ = run(capsys, "verify", "--suite", "identities", "--format", fmt)
+    assert code == 1
+    witness = f"n=3 lhs=1{'0' * 5000} rhs=-1{'0' * 4999}1/2"
+    if fmt == "json":
+        assert json.loads(out)["rows"][0]["witness"] == witness
+    elif fmt == "csv":
+        assert list(csv.reader(io.StringIO(out)))[1][-1] == witness
+    else:
+        assert out.splitlines()[0] == f"FAIL wide_identity 2 8 3 {witness}"
+
+
+@needs_str_cap
+def test_oeis_reads_terms_wider_than_the_str_cap(tmp_path, capsys, default_str_cap):
+    # the orbit's a_14 has 6272 digits
+    lines = [_csv_value(state.a) for state in newton_run(2, 14)]
+    (tmp_path / "A001601.txt").write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "oeis", "--check", "A001601", "--data-dir", str(tmp_path))
+    assert (code, out) == (0, "A001601 15 PASS\n")
+    (tmp_path / "A001601.txt").write_text("\n".join(lines[:-1] + [lines[-1] + "1"]) + "\n")
+    code, out, _ = run(capsys, "oeis", "--check", "A001601", "--data-dir", str(tmp_path))
+    assert (code, out) == (1, "A001601 15 FAIL\n")

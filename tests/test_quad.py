@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surdseq.exact import ConsistencyError
-from surdseq.quad import QuadSurd, as_exact_int, root_of
+from surdseq.quad import QuadSurd, as_exact_int, root_of, surd_pow, surd_square
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 surds = st.builds(QuadSurd, rationals, rationals, st.integers(min_value=0, max_value=30))
+kernel_ints = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+kernel_radicands = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=1000).map(lambda r: r * r),
+    st.integers(min_value=0, max_value=10 ** 6),
+)
 
 
 def test_construction_coerces_to_fractions():
@@ -119,3 +125,21 @@ def test_power_matches_repeated_product(x, e):
     for _ in range(e):
         expected = expected * x
     assert x ** e == expected
+
+
+@given(kernel_ints, kernel_ints, kernel_radicands, st.integers(min_value=0, max_value=64))
+def test_surd_pow_matches_the_fraction_route(p, q, d, e):
+    # QuadSurd.__pow__ multiplies Fractions right to left; the kernel
+    # squares ints left to right, so the two share nothing beyond int
+    x = QuadSurd(p, q, d) ** e
+    assert surd_pow(p, q, d, e) == (x.rat, x.coef)
+    y = QuadSurd(p, q, d) * QuadSurd(p, q, d)
+    assert surd_square(p, q, d) == (y.rat, y.coef)
+
+
+def test_surd_pow_edges():
+    assert surd_pow(5, -3, 7, 0) == (1, 0)
+    assert surd_pow(0, 0, 0, 0) == (1, 0)
+    assert surd_pow(5, -3, 7, 1) == (5, -3)
+    with pytest.raises(ValueError):
+        surd_pow(1, 1, 2, -1)

@@ -227,6 +227,8 @@ def test_terms_serves_every_family():
     assert terms(SeqSpec(Family.CD_REDUCED, m=1), 4) == reduced_cd(1, 4)
     assert terms(SeqSpec(Family.W_FAMILY, k=2, seed=(1, 3)), 4) == [1, 3, 17, 99]
     assert terms(SeqSpec(Family.U_FAMILY, k=3, seed=(1, 5)), 3) == [1, 5, 19]
+    assert terms(SeqSpec(Family.W_FAMILY, k=2, seed=(1, 3)), 1) == [1]
+    assert terms(SeqSpec(Family.U_FAMILY, k=3, seed=(1, 5)), 1) == [1]
     assert terms(SeqSpec(Family.NEWTON, k=2), 4)[-1] == (3, 577, 408)
     assert terms(SeqSpec(Family.NEWTON, k=2, h=3), 2) == [(0, 1, 1), (1, 5, 6)]
     assert terms(SeqSpec(Family.PRODUCT, k=3), 3) == [(0, 1, 1), (1, 3, 1), (2, 17, 6)]
