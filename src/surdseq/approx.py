@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .exact import ConsistencyError, isqrt, perfect_square_root
-from .newton import check_domain
+from .exact import ConsistencyError, _decimal, decimal_str, isqrt, perfect_square_root
 from .quad import surd_square
 
 
@@ -39,44 +38,6 @@ def floor_root_scaled(k: int, h: int, digits: int) -> int:
     if digits < 0:
         raise ValueError(f"digits must be nonnegative, got {digits}")
     return isqrt(k * h * 10 ** (2 * digits)) // h
-
-
-# str() never sees more decimal digits than this: it is the smallest
-# int->str cap an interpreter accepts, so formatting works under any cap.
-_STR_PIECE = 640
-
-
-def _decimal(n: int, width: int) -> str:
-    """n >= 0 in decimal, zero-padded to `width` digits (n < 10^width).
-
-    Divide and conquer on powers of ten, so str() only ever formats
-    pieces of at most _STR_PIECE digits.
-    """
-    pieces = []
-    powers: dict[int, int] = {}
-    pending = [(n, width)]
-    while pending:
-        n, width = pending.pop()
-        if width <= _STR_PIECE:
-            pieces.append(str(n).rjust(width, "0"))
-            continue
-        low = width // 2
-        if low not in powers:
-            powers[low] = 10 ** low
-        high, rest = divmod(n, powers[low])
-        pending.append((rest, low))
-        pending.append((high, width - low))
-    return "".join(pieces)
-
-
-def decimal_str(n: int) -> str:
-    """str(n), formatted by _decimal, so it works under any int->str cap
-    and costs less than str() on a long n."""
-    magnitude = abs(n)
-    # 0.30103 > log10(2), so this is never below the digit count
-    width = magnitude.bit_length() * 30103 // 10 ** 5 + 1
-    text = _decimal(magnitude, width).lstrip("0") or "0"
-    return "-" + text if n < 0 else text
 
 
 def _format_digits(t: int, digits: int, scale: int) -> str:
@@ -161,65 +122,65 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
 
 def _convergents(k: int, h: int, method: Method,
                  scale_bits: int | None = None) -> Iterator[tuple[int, int, int, int | None]]:
-    """Yield (index, numerator, denominator, residual) proposals for sqrt(k/h).
+    """Yield (index, A, B, residual) with A / B proposing sqrt(K), K = h k.
 
+    approximate reads each pair as A / (h B), which proposes
+    sqrt(k/h) = sqrt(K) / h: the paper's rational at the paper's index.
     scale_bits is the bit length of 10^D for D digits asked for; LINEAR
-    then leaves out every pair its residual proves too far from the
-    root to certify D digits, and None keeps them all.  LINEAR hands
-    over its residual h a^2 - k b^2; the other engines give None.
+    then leaves out every pair its residual A^2 - K B^2 proves too far
+    from the root, and hands the residual over; None keeps every pair.
 
-    Once the power of two a pair shares is stripped, every engine's
-    pair is in lowest terms.  LINEAR's pairs are M^n e1 with
-    M = [[1, k], [h, 1]] (at h = 1, index n holds M^(n+1) e1), and
-    JUMP's are LINEAR's h = 1 pairs at other indices.  An odd prime q
-    dividing both sides of M^n e1 makes M singular mod q, so q divides
-    det M = 1 - h k.  Then M has the eigenvalues 0 and 2 mod q, which
-    differ, so M^n = 2^(n-1) M mod q, and M e1 = (1, h) is not 0 mod q.
+    No odd prime q divides both A and B, so q divides gcd(A, h B) as
+    often as it divides gcd(A, h).  LINEAR's and JUMP's pairs are
+    (1 + sqrt(K))^e, e >= 1, up to a power of two: q | A, B would give
+    q | A^2 - K B^2 = (1 - K)^e, so K = 1 mod q, where
+    (1 + sqrt(K))^2 = 2 (1 + sqrt(K)) makes A = B = 2^(e-1) != 0 mod q.
+    NEWTON divides out what its step shares (see below).
     """
+    radicand = h * k
     if method is Method.LINEAR:
-        # coupled_stream's pairs at coupled_stream's indices, from n = 1
-        # (n = 0 has denominator 0 in the uv family).  The step maps
-        # r = h a^2 - k b^2 to (1 - h k) r, so r stays exact without a
-        # squaring.  |a/b - sqrt(k/h)| = |r| / (h b (a + b sqrt(k/h))),
-        # and a pair whose truncation certifies lies in the root's 10^-D
-        # cell, so within 10^-D of the root.  With c = isqrt(k // h) + 1,
-        # which is at least sqrt(k/h), h b (a + b c) is below
-        # 2^(bits(h) + bits(b) + max(bits(a), bits(b) + bits(c)) + 1),
+        # coupled_stream's pairs (A, h C) at its indices, from n = 1: its step
+        # (a, b) -> (a + k b, h a + b) is (A, C) -> (A + K C, A + C), from
+        # (1, 1) for ab and (1, 0) for uv (whose n = 0 has denominator 0).
+        # It maps r = A^2 - K C^2 to (1 - K) r, so r stays exact without a
+        # squaring.  |A / (h C) - sqrt(k/h)| = |r| / (h C (A + C sqrt(K))),
+        # and a pair whose truncation certifies lies within 10^-D of the
+        # root.  With s = isqrt(K) + 1 > sqrt(K), h C (A + C s) is below
+        # 2^(bits(h) + bits(C) + max(bits(A), bits(C) + bits(s)) + 1),
         # and |r| 10^D is at least 2^(bits(r) + bits(10^D) - 2).  When the
         # second exponent reaches the first, the gap exceeds 10^-D and
         # the pair is left out; r = 0 puts the pair on the root.
-        a, b, r = (1, 1, 1 - k) if h == 1 else (1, 0, h)
-        factor = 1 - h * k
+        a, c, r = (1, 1, 1 - radicand) if h == 1 else (1, 0, 1)
+        factor = 1 - radicand
         h_bits = h.bit_length()
-        root_bits = (isqrt(k // h) + 1).bit_length()
+        root_bits = (isqrt(radicand) + 1).bit_length()
         slack = None if scale_bits is None else scale_bits - 2
         index = 0
         while True:
-            a, b, r = a + k * b, h * a + b, factor * r
+            a, c, r = a + radicand * c, a + c, factor * r
             index += 1
-            b_bits = b.bit_length()
+            c_bits = c.bit_length()
             if (slack is None or not r or r.bit_length() + slack
-                    < h_bits + b_bits + max(a.bit_length(), b_bits + root_bits) + 1):
-                yield index, a, b, r
+                    < h_bits + c_bits + max(a.bit_length(), c_bits + root_bits) + 1):
+                yield index, a, c, r
     elif method is Method.JUMP:
-        if h != 1:
-            raise ValueError("index jumping works on the h = 1 family only")
-        if perfect_square_root(k) is not None:
-            # every jump candidate lies below the exact root, so no
-            # candidate would ever certify
-            raise ValueError(f"index jumping never certifies a square k, got k={k}")
-        # p + q sqrt(k) = (1 + sqrt(k))^index, squared once per step; the
-        # candidate at index is the next power, fast_term(k, index)
+        if perfect_square_root(radicand) is not None:
+            # with K = s^2, A - s B = (1 - s)^(index + 1), and index + 1 is
+            # odd from index 2 on: the candidates lie below the rational
+            # root s / h and never certify one whose decimals end early
+            raise ValueError(f"index jumping needs a nonsquare k h, got k={k}, h={h}")
+        # p + q sqrt(K) = (1 + sqrt(K))^index over a power of two, squared
+        # once per step; the candidate at index is the next power, which
+        # at h = 1 is the paper's ab pair fast_term(k, index)
         index, p, q = 1, 1, 1
         while True:
-            yield index, p + k * q, p + q, None
-            p, q = surd_square(p, q, k)
+            yield index, p + radicand * q, p + q, None
+            p, q = _strip_twos(*surd_square(p, q, radicand))
             index *= 2
     elif method is Method.NEWTON:
-        check_domain(k, h)
         # The paper's step x -> (h x^2 + k) / (2 h x) is y -> (y^2 + K) / (2 y)
-        # on y = h x and K = h k, so the orbit of y from h (x = 1) is the
-        # paper's orbit scaled by h, without the factors h puts into its pairs.
+        # on y = h x, so the orbit of y from h (x = 1) is the paper's orbit
+        # scaled by h, without the factors h puts into its pairs.
         # With a and b coprime, let an odd prime q divide both a' = a^2 + K b^2
         # and b' = 2 a b.  Then q divides a (q | b would give q | a^2), not b,
         # and so K.  With e = v_q(a) = v_q(b'), the shared power is
@@ -227,7 +188,6 @@ def _convergents(k: int, h: int, method: Method,
         # v_q(a') = v_q(K b^2) = v_q(K), and at most e <= v_q(K) otherwise.
         # So once the twos are stripped, gcd(a', b') divides K, and one gcd
         # of remainders by K leaves the pair coprime.
-        radicand = h * k
         index, a, b = 0, h, 1
         while True:
             a, b = _strip_twos(*surd_square(a, b, radicand))
@@ -236,9 +196,7 @@ def _convergents(k: int, h: int, method: Method,
                 a //= common
                 b //= common
             index += 1
-            # no prime of a divides b, so gcd(a, h b) = gcd(a, h)
-            common = gcd(a % h, h)
-            yield index, a // common, h // common * b, None
+            yield index, a, b, None
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -291,15 +249,15 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int, residual: int | None = 
 _RESIDUAL_MODULUS = 2 ** 61 - 1
 
 
-def _check_residual(a: int, b: int, k: int, h: int, residual: int) -> None:
-    """Raise ConsistencyError unless residual is h a^2 - k b^2 modulo
+def _check_residual(a: int, b: int, radicand: int, residual: int) -> None:
+    """Raise ConsistencyError unless residual is a^2 - radicand b^2 modulo
     _RESIDUAL_MODULUS."""
     m = _RESIDUAL_MODULUS
     a_mod, b_mod = a % m, b % m
-    if (h * a_mod * a_mod - k * b_mod * b_mod - residual) % m:
+    if (a_mod * a_mod - radicand * b_mod * b_mod - residual) % m:
         raise ConsistencyError(
-            f"residual handed over for a {b.bit_length()}-bit denominator at sqrt({k}/{h}) "
-            f"is not h a^2 - k b^2")
+            f"residual handed over for a {b.bit_length()}-bit denominator at sqrt({radicand}) "
+            f"is not a^2 - {radicand} b^2")
 
 
 @dataclass(frozen=True)
@@ -325,15 +283,18 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     scale = 10 ** digits
     scaled = k * scale * scale
     for index, num, den, residual in _convergents(k, h, method, scale.bit_length()):
-        shift = _shared_twos(num, den)
-        a, b = num >> shift, den >> shift
+        # a / b = num / (h den) in lowest terms (see _convergents)
+        common = gcd(num % h, h)
+        a, b = num // common, h // common * den
+        shift = _shared_twos(a, b)
+        a, b = a >> shift, b >> shift
         out = _certify(a, b, k, h, digits, scale, scaled)
         if out is None:
             continue
         if residual is not None:
-            _check_residual(num, den, k, h, residual)
-            residual >>= 2 * shift
-        # every engine's pair is coprime once stripped (see _convergents)
+            _check_residual(num, den, h * k, residual)
+            # h a^2 - k b^2 = h (num^2 - h k den^2) / (common 2^shift)^2
+            residual = h * residual // (common * common) >> 2 * shift
         bound = _coprime_error_bound(a, b, k, h, residual)
         return ApproxResult(out, index, method, bound, k, h)
     raise AssertionError("convergent stream is infinite")
@@ -383,8 +344,6 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
     All methods must land on the same digit string or the whole run is
     thrown out as inconsistent.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
     if not methods:

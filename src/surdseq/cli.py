@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import newton as newton_mod
-from .approx import Method, approximate, bench_methods, decimal_str
-from .exact import ConsistencyError
+from .approx import Method, approximate, bench_methods
+from .exact import ConsistencyError, decimal_str
 from .sequences import Family, SeqSpec, terms
 from .verify import SUITE_NAMES, run_suite
 

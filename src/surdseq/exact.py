@@ -3,7 +3,8 @@
 Nothing here (or anywhere else in the library) touches floating point:
 root comparisons go through cross-multiplied integer inequalities, and
 rationals are plain ``fractions.Fraction`` values, which already keep
-themselves reduced with a positive denominator.
+themselves reduced with a positive denominator.  Decimal text of any
+length goes through decimal_str, which works under any int->str cap.
 """
 from __future__ import annotations
 
@@ -53,3 +54,41 @@ def cmp_to_root(q: Rational | int, k: int, h: int = 1) -> int:
     lhs = q.numerator * q.numerator * h
     rhs = k * q.denominator * q.denominator
     return (lhs > rhs) - (lhs < rhs)
+
+
+# str() never sees more decimal digits than this: it is the smallest
+# int->str cap an interpreter accepts, so formatting works under any cap.
+_STR_PIECE = 640
+
+
+def _decimal(n: int, width: int) -> str:
+    """n >= 0 in decimal, zero-padded to `width` digits (n < 10^width).
+
+    Divide and conquer on powers of ten, so str() only ever formats
+    pieces of at most _STR_PIECE digits.
+    """
+    pieces = []
+    powers: dict[int, int] = {}
+    pending = [(n, width)]
+    while pending:
+        n, width = pending.pop()
+        if width <= _STR_PIECE:
+            pieces.append(str(n).rjust(width, "0"))
+            continue
+        low = width // 2
+        if low not in powers:
+            powers[low] = 10 ** low
+        high, rest = divmod(n, powers[low])
+        pending.append((rest, low))
+        pending.append((high, width - low))
+    return "".join(pieces)
+
+
+def decimal_str(n: int) -> str:
+    """str(n), formatted by _decimal, so it works under any int->str cap
+    and costs less than str() on a long n."""
+    magnitude = abs(n)
+    # 0.30103 > log10(2), so this is never below the digit count
+    width = magnitude.bit_length() * 30103 // 10 ** 5 + 1
+    text = _decimal(magnitude, width).lstrip("0") or "0"
+    return "-" + text if n < 0 else text

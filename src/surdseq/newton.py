@@ -4,7 +4,7 @@ One Newton step on a/b for sqrt(k/h) is (h a^2 + k b^2) / (2 h a b),
 so the orbit never leaves the integers.  The residual h a^2 - k b^2
 squares (up to a factor h) at every step, which is the quadratic
 convergence in its rawest form; with h = 1 the residual is exactly
-(k-1)^(2^n) and doubles as an exponent tower.
+(1-k)^(2^n) and doubles as an exponent tower.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
-from .exact import perfect_square_root
+from .exact import _STR_PIECE, perfect_square_root
 from .quad import surd_pow
 
 # Published-series ids covered by the bundled data files, mapped to
@@ -26,7 +26,7 @@ class NewtonState:
     """One point of the orbit.
 
     w is the residual h a^2 - k b^2; for h = 1 that equals
-    (k-1)^(2^n), and the state carries it so nobody has to rebuild a
+    (1-k)^(2^n), and the state carries it so nobody has to rebuild a
     2^n-bit power from scratch.
     """
 
@@ -41,27 +41,20 @@ class NewtonState:
         return Fraction(self.a, self.b)
 
 
-def check_domain(k: int, h: int = 1) -> None:
-    """Raise ValueError unless the orbit from (1, 1) is defined for sqrt(k/h)."""
+def newton_start(k: int, h: int = 1) -> NewtonState:
+    """State 0, the seed pair (1, 1), of the orbit for sqrt(k/h)."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if h < 1:
         raise ValueError(f"h must be at least 1, got {h}")
     if h == k:
         raise ValueError("k = h starts on the root itself; nothing to iterate")
-
-
-def newton_start(k: int, h: int = 1) -> NewtonState:
-    check_domain(k, h)
-    w = k - 1 if h == 1 else h - k
-    return NewtonState(0, 1, 1, w, k, h)
+    return NewtonState(0, 1, 1, h - k, k, h)
 
 
 def newton_step(state: NewtonState) -> NewtonState:
     """One exact Newton step; the residual check rides along for free."""
     n, a, b, w, k, h = state.n, state.a, state.b, state.w, state.k, state.h
-    if h == 1:
-        return NewtonState(n + 1, a * a + k * b * b, 2 * a * b, w * w, k, 1)
     return NewtonState(n + 1, h * a * a + k * b * b, 2 * h * a * b, h * w * w, k, h)
 
 
@@ -165,14 +158,14 @@ def generated_terms(series_id: str, count: int) -> list[int]:
 
 
 def _parse_term(token: str) -> int:
-    """int(token), read in pieces of at most 640 digits (the smallest
-    int->str cap an interpreter accepts), so it works under any cap."""
+    """int(token), read in pieces of at most _STR_PIECE digits, so it
+    works under any int->str cap."""
     digits = token[1:] if token[:1] in "+-" else token
     if not digits.isdecimal():
         return int(token)  # int()'s own verdict on anything but plain digits
-    value = int(digits[:640])
-    for start in range(640, len(digits), 640):
-        piece = digits[start:start + 640]
+    value = int(digits[:_STR_PIECE])
+    for start in range(_STR_PIECE, len(digits), _STR_PIECE):
+        piece = digits[start:start + _STR_PIECE]
         value = value * 10 ** len(piece) + int(piece)
     return -value if token[:1] == "-" else value
 

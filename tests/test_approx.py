@@ -66,24 +66,23 @@ def test_rational_target_certifies_instantly():
 
 
 def test_uv_methods_agree_with_truth():
-    for method in (Method.LINEAR, Method.NEWTON):
+    for method in Method:
         result = approximate(2, 3, 12, method)
         assert result.digits == format_truth(2, 3, 12)
 
 
-def test_jump_requires_unit_denominator():
+@pytest.mark.parametrize("k, h", [(1, 1), (4, 1), (9, 1), (10 ** 6, 1),
+                                  (2, 8), (3, 12), (1, 4), (5, 5)])
+def test_jump_rejects_square_kh(k, h):
+    # for a square k h every jump candidate past the first lies below the
+    # rational root, so the engine must refuse at once instead of
+    # iterating forever; NEWTON certifies the same input
     with pytest.raises(ValueError):
-        approximate(2, 3, 8, Method.JUMP)
-
-
-@pytest.mark.parametrize("k", [1, 4, 9, 10 ** 6])
-def test_jump_rejects_square_k(k):
-    # every jump candidate for a square k lies below the root, so the
-    # engine must refuse at once instead of iterating forever
-    with pytest.raises(ValueError):
-        approximate(k, 1, 10, Method.JUMP)
-    with pytest.raises(ValueError):
-        bench_methods(k, 10, [Method.JUMP])
+        approximate(k, h, 10, Method.JUMP)
+    assert approximate(k, h, 10, Method.NEWTON).digits == format_truth(k, h, 10)
+    if h == 1:
+        with pytest.raises(ValueError):
+            bench_methods(k, 10, [Method.JUMP])
 
 
 def test_approximate_validation():
@@ -219,8 +218,10 @@ def test_bench_raises_when_methods_disagree():
 
 
 def test_bench_validation():
+    # bench takes every k approximate takes
+    assert bench_methods(1, 10, [Method.LINEAR, Method.NEWTON])[0].digits == "1.0000000000"
     with pytest.raises(ValueError):
-        bench_methods(1, 10, [Method.LINEAR])
+        bench_methods(0, 10, [Method.LINEAR])
     with pytest.raises(ValueError):
         bench_methods(2, 0, [Method.LINEAR])
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ reduces them without a gcd on the wide numerator and denominator.  Both
 must agree exactly with the direct formulas kept here as references:
 one long division, two squarings, str(), and Fraction arithmetic.  The
 reference approximate walks the paper's own orbits through their public
-functions, not the engines approximate runs.
+functions, or Fraction arithmetic where those do not reach, not the
+engines approximate runs.
 """
 import sys
 from datetime import timedelta
@@ -49,17 +50,28 @@ def reference_error_bound(a, b, k, h):
     return Fraction(abs(h * a * a - k * b * b)) / (h * b * b * (Fraction(a, b) + lower))
 
 
-def jump_reference(k, index):
-    """(a, b) at one JUMP index: a + b sqrt(k) = (1 + sqrt(k))^(index + 1)
-    by Fraction QuadSurd powering, which shares no code with the engine
-    beyond int."""
-    x = QuadSurd(1, 1, k) ** (index + 1)
+def jump_reference(radicand, index):
+    """(A, B) at one JUMP index: A + B sqrt(K) = (1 + sqrt(K))^(index + 1)
+    for K = radicand, by Fraction QuadSurd powering, which shares no code
+    with the engine beyond int."""
+    x = QuadSurd(1, 1, radicand) ** (index + 1)
     return int(x.rat), int(x.coef)
+
+
+def newton_fractions(k, h):
+    """(n, a, b) along Newton's orbit x -> (h x^2 + k) / (2 h x) from
+    x = 1, in Fraction arithmetic: the paper's rationals where newton_run
+    does not reach, at k = 1 and at k = h."""
+    x = Fraction(1)
+    for n in count(1):
+        x = (h * x * x + k) / (2 * h * x)
+        yield n, x.numerator, x.denominator
 
 
 def paper_orbit(k, h, method):
     """(index, a, b) along the paper's orbit for one method: the ab or uv
-    pairs one index at a time, the ab pairs at indices 2^j, or the Newton
+    pairs one index at a time, the power index + 1 of 1 + sqrt(h k) read
+    as A / (h B) at indices 2^j (the ab pairs when h = 1), or the Newton
     orbit from (1, 1)."""
     if method is Method.LINEAR:
         stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
@@ -67,12 +79,15 @@ def paper_orbit(k, h, method):
         for pair in stream:
             yield pair.n, pair.num, pair.den
     elif method is Method.JUMP:
-        # documented domain: the h = 1 family, and no square k, whose
-        # candidates all lie below the root
-        if h != 1 or isqrt(k) ** 2 == k:
-            raise ValueError("index jumping needs h = 1 and a nonsquare k")
+        # documented domain: no square k h, whose rational root the
+        # candidates approach from below
+        if isqrt(k * h) ** 2 == k * h:
+            raise ValueError("index jumping needs a nonsquare k h")
         for j in count():
-            yield 2 ** j, *jump_reference(k, 2 ** j)
+            a, b = jump_reference(k * h, 2 ** j)
+            yield 2 ** j, a, h * b
+    elif k == 1 or k == h:
+        yield from newton_fractions(k, h)
     else:
         for n in count(1):
             state = newton_run(k, n, h)[n]
@@ -284,26 +299,26 @@ def test_approximate_matches_reference_when_h_exceeds_one(k, h, digits):
     assert_matches_reference(k, h, digits, Method.NEWTON)
     if k * h <= 1000:
         assert_matches_reference(k, h, digits, Method.LINEAR)
+    if k * h <= 10 ** 4 and isqrt(k * h) ** 2 != k * h:
+        assert_matches_reference(k, h, digits, Method.JUMP)
 
 
-@given(st.integers(min_value=2, max_value=10 ** 4), st.integers(min_value=1, max_value=10 ** 4))
+@given(st.integers(min_value=1, max_value=10 ** 4), st.integers(min_value=1, max_value=10 ** 4))
 def test_newton_engine_pairs_are_the_orbit_in_lowest_terms(k, h):
-    if k == h:
-        with pytest.raises(ValueError):
-            next(_convergents(k, h, Method.NEWTON))
-        return
-    orbit = newton_run(k, 8, h)
-    for (index, a, b, _), state in zip(_convergents(k, h, Method.NEWTON), orbit[1:]):
-        assert index == state.n
-        a, b = _strip_twos(a, b)
+    # the engine's A / B proposes sqrt(h k); read as A / (h B) it is the
+    # paper's rational at the same index, k = h and k = 1 included
+    engine = _convergents(k, h, Method.NEWTON)
+    for (index, a, b, _), (n, x, y) in islice(zip(engine, paper_orbit(k, h, Method.NEWTON)), 8):
+        assert index == n
         assert gcd(a, b) == 1, (k, h, index)
-        assert a * state.b == b * state.a, (k, h, index)
+        assert a * y == h * b * x, (k, h, index)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int->str digit cap")
 def test_digits_beyond_default_int_str_cap():
-    # the CLI lifts the cap for its whole process, so set it here
+    # str() of the 5000-digit truth needs the cap lifted; approximate
+    # must then work under the interpreter's default cap
     before = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
@@ -322,23 +337,24 @@ def radicands():
                      st.integers(min_value=1, max_value=10 ** 4))
 
 
+# Largest k h each engine runs on here: LINEAR takes minutes above
+# k h = 10^3, and JUMP overshoots ever further as k h grows.
+TIME_CAPS = {Method.LINEAR: 10 ** 3, Method.JUMP: 10 ** 4, Method.NEWTON: None}
+
+
 @settings(deadline=timedelta(seconds=10))
 @given(radicands(), radicands(), st.integers(min_value=1, max_value=200))
 def test_engines_match_floor_root_scaled(k, h, digits):
-    # every engine on every input it accepts; LINEAR accepts all, but
-    # above k h = 10^3 it takes minutes
+    # one domain: every engine takes every k, h >= 1, except that JUMP
+    # raises exactly when k h is a square
     raw = str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
     truth = raw[:-digits] + "." + raw[-digits:]
-    accepts = {
-        Method.LINEAR: k * h <= 10 ** 3,
-        Method.JUMP: h == 1 and isqrt(k) ** 2 != k,
-        Method.NEWTON: k >= 2 and k != h,
-    }
-    for method, accepted in accepts.items():
-        if not accepted:
-            if method is not Method.LINEAR:
-                with pytest.raises(ValueError):
-                    approximate(k, h, digits, method)
+    for method, cap in TIME_CAPS.items():
+        if method is Method.JUMP and isqrt(k * h) ** 2 == k * h:
+            with pytest.raises(ValueError):
+                approximate(k, h, digits, method)
+            continue
+        if cap is not None and k * h > cap:
             continue
         got = approximate(k, h, digits, method)
         assert got.digits == truth, (method, k, h, digits)
@@ -356,9 +372,9 @@ def test_linear_engine_carries_the_residual(k, h):
     stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
     next(stream)
     steps = 0
-    for (index, a, b, residual), pair in zip(islice(_convergents(k, h, Method.LINEAR), 200), stream):
-        assert (index, a, b) == (pair.n, pair.num, pair.den)
-        assert residual == h * a * a - k * b * b, (k, h, index)
+    for (index, a, c, residual), pair in zip(islice(_convergents(k, h, Method.LINEAR), 200), stream):
+        assert (index, a, h * c) == (pair.n, pair.num, pair.den)
+        assert residual == a * a - k * h * c * c, (k, h, index)
         steps += 1
     assert steps == 200
 
@@ -381,13 +397,18 @@ def test_corrupted_residual_raises(monkeypatch, k, h, corrupt):
 @given(st.integers(min_value=1, max_value=10 ** 4),
        st.one_of(st.just(1), st.integers(min_value=1, max_value=10 ** 4)))
 def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
-    # the ab (h = 1) and uv families; approximate builds LINEAR's and
-    # JUMP's error bounds without gcd(a, b) on the strength of this
-    for index, a, b, _ in islice(_convergents(k, h, Method.LINEAR), 40):
-        assert gcd(*_strip_twos(a, b)) == 1, (k, h, index)
-    if h == 1 and isqrt(k) ** 2 != k:
-        for index, a, b, _ in _convergents(k, 1, Method.JUMP):
+    # powers of 1 + sqrt(h k); approximate reads A / B as A / (h B) and
+    # builds LINEAR's and JUMP's error bounds without gcd(a, b) on the
+    # strength of this and of gcd(A, h) holding all that A and h B share
+    # beyond twos
+    pairs = list(islice(_convergents(k, h, Method.LINEAR), 40))
+    if isqrt(k * h) ** 2 != k * h:
+        for index, a, b, residual in _convergents(k, h, Method.JUMP):
             if index > 2 ** 12:
                 break
-            assert (a, b) == jump_reference(k, index)
-            assert gcd(*_strip_twos(a, b)) == 1, (k, index)
+            assert _strip_twos(a, b) == _strip_twos(*jump_reference(k * h, index))
+            pairs.append((index, a, b, residual))
+    for index, a, b, _ in pairs:
+        assert gcd(*_strip_twos(a, b)) == 1, (k, h, index)
+        common = gcd(a, h)
+        assert gcd(*_strip_twos(a // common, h // common * b)) == 1, (k, h, index)

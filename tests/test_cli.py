@@ -253,8 +253,19 @@ def test_python_dash_m_runs_the_cli(capsys, module):
 def test_approx_usage_errors(capsys):
     assert run(capsys, "approx", "--k", "0", "--digits", "5")[0] == 2
     assert run(capsys, "approx", "--k", "2", "--digits", "0")[0] == 2
-    assert run(capsys, "approx", "--k", "2", "--h", "3", "--digits", "5",
+    # every engine takes h > 1; JUMP refuses only a square k h
+    code, jump, _ = run(capsys, "approx", "--k", "2", "--h", "3", "--digits", "5",
+                        "--method", "jump")
+    assert code == 0
+    _, newton, _ = run(capsys, "approx", "--k", "2", "--h", "3", "--digits", "5",
+                       "--method", "newton")
+    assert jump.splitlines()[0] == newton.splitlines()[0] == "digits 0.81649"
+    assert run(capsys, "approx", "--k", "2", "--h", "8", "--digits", "5",
                "--method", "jump")[0] == 2
+    code, out, _ = run(capsys, "approx", "--k", "3", "--h", "3", "--digits", "5",
+                       "--method", "newton")
+    assert code == 0
+    assert out.splitlines()[0] == "digits 1.00000"
     assert run(capsys, "approx", "--k", "2", "--digits", "5",
                "--method", "zigzag")[0] == 2
 
