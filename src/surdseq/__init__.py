@@ -42,10 +42,7 @@ from .sequences import (
     SeqSpec,
     SequenceName,
     TermPair,
-    TermSelector,
-    binomial_sum_term,
     binomial_term,
-    closed_form_half,
     closed_form_term,
     coupled_iterate,
     coupled_stream,
@@ -74,18 +71,15 @@ __all__ = [
     "SeqSpec",
     "SequenceName",
     "TermPair",
-    "TermSelector",
     "addition_jump",
     "approximate",
     "as_exact_int",
     "bench_methods",
-    "binomial_sum_term",
     "binomial_term",
     "cd_closed_form",
     "cd_run",
     "certify_digits",
     "cf_convergents",
-    "closed_form_half",
     "closed_form_term",
     "cmp_to_root",
     "coupled_iterate",

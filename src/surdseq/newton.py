@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from .exact import _STR_PIECE, perfect_square_root
-from .quad import surd_pow
+from .quad import binomial_part, surd_pow
 
 # Published-series ids covered by the bundled data files, mapped to
 # the side of the k = 2 Newton orbit they list.
@@ -133,13 +132,12 @@ def newton_binomial_sum(k: int, n: int, side: str = "a") -> int:
         raise ValueError(f"k must be at least 2, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    power = 2 ** n
     if side == "a":
-        return sum(comb(power, 2 * r) * k ** r for r in range(power // 2 + 1))
+        return binomial_part(k, 2 ** n, 0)
     if side == "b":
         if n == 0:
             raise ValueError("the b summation needs n >= 1")
-        return sum(comb(power, 2 * r + 1) * k ** r for r in range(power // 2))
+        return binomial_part(k, 2 ** n, 1)
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
 

@@ -4,12 +4,13 @@ The radicand is carried along unsimplified, so sqrt(4) stays a formal
 symbol instead of collapsing to 2.  Mixing two different radicands in
 one operation is an error; scalars (int, Fraction) combine freely.
 surd_square and surd_pow are the integer kernel for surd powers, on
-plain ints.
+plain ints; binomial_part reaches the same numbers by binomial sums.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .exact import ConsistencyError
 
@@ -32,6 +33,13 @@ def surd_pow(p: int, q: int, d: int, e: int) -> tuple[int, int]:
         if bit == "1":
             big_p, big_q = big_p * p + d * (big_q * q), big_p * q + big_q * p
     return big_p, big_q
+
+
+def binomial_part(d: int, e: int, odd: int) -> int:
+    """The rational part (odd = 0) or the sqrt(d) coefficient (odd = 1)
+    of (1 + sqrt(d))^e, summed term by term as sum C(e, 2i + odd) d^i.
+    No surd powering: this is the independent route to surd_pow(1, 1, d, e)."""
+    return sum(comb(e, 2 * i + odd) * d ** i for i in range((e - odd) // 2 + 1))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ The same family of numbers is reachable four independent ways: the
 coupled first-order system, a collapsed second-order recurrence,
 binomial summations, and closed forms in quadratic surds.  Keeping all
 four alive is the point; they cross-check each other term by term.
+Every side of the coupled families is one part of one power of
+1 + sqrt(K), so each sequence has one binomial sum (binomial_term) and
+one surd closed form (closed_form_term) at every index n.
 `terms` serves every family, the Newton and product orbits included,
 from the one evaluator that defines it.
 """
@@ -13,12 +16,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .newton import newton_run
 from .products import cd_run
-from .quad import QuadSurd, as_exact_int, root_of, surd_pow
+from .quad import QuadSurd, as_exact_int, binomial_part, root_of, surd_pow
 
 
 class Family(Enum):
@@ -36,6 +38,14 @@ class TermPair(NamedTuple):
     n: int
     num: int
     den: int
+
+
+def _require_ints(**params: object) -> None:
+    """Reject a float or other non-int where an exact int belongs;
+    None stands for a parameter not given."""
+    for label, value in params.items():
+        if value is not None and not isinstance(value, int):
+            raise ValueError(f"{label} must be an int, got {value!r}")
 
 
 _COUPLED_START = {
@@ -66,6 +76,7 @@ class SeqSpec:
     seed: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        _require_ints(k=self.k, h=self.h, m=self.m)
         fam = self.family
         if self.h < 1:
             raise ValueError(f"h must be at least 1, got {self.h}")
@@ -181,127 +192,6 @@ def second_order_iterate(p: int, q: int, w0: int, w1: int, count: int) -> list[i
     return out
 
 
-class TermSelector(Enum):
-    """Sequence-and-parity selector for the half-index formulas.
-
-    A_EVEN at n addresses a_{2n}, A_ODD at n addresses a_{2n+1}, and
-    so on; AT/BT are the tilde variants, U/V the h-scaled pair.
-    """
-
-    A_EVEN = "a_even"
-    A_ODD = "a_odd"
-    B_EVEN = "b_even"
-    B_ODD = "b_odd"
-    AT_EVEN = "at_even"
-    AT_ODD = "at_odd"
-    BT_EVEN = "bt_even"
-    BT_ODD = "bt_odd"
-    U_EVEN = "u_even"
-    U_ODD = "u_odd"
-    V_EVEN = "v_even"
-    V_ODD = "v_odd"
-
-
-_H_SELECTORS = {
-    TermSelector.U_EVEN,
-    TermSelector.U_ODD,
-    TermSelector.V_EVEN,
-    TermSelector.V_ODD,
-}
-
-
-def _check_term_args(sel: TermSelector, k: int, n: int, h: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n < 0:
-        raise ValueError(f"half-index must be nonnegative, got {n}")
-    if sel in _H_SELECTORS:
-        if h < 1:
-            raise ValueError(f"h must be at least 1, got {h}")
-    elif h != 1:
-        raise ValueError(f"{sel.name} takes no h parameter")
-
-
-def binomial_sum_term(sel: TermSelector, k: int, n: int, h: int = 1) -> int:
-    """One term straight from its binomial summation, no recurrence."""
-    _check_term_args(sel, k, n, h)
-    hk = h * k
-    match sel:
-        case TermSelector.A_EVEN:
-            return sum(comb(2 * n + 1, 2 * i + 1) * k ** (n - i) for i in range(n + 1))
-        case TermSelector.A_ODD:
-            return sum(comb(2 * n + 2, 2 * i) * k ** (n + 1 - i) for i in range(n + 2))
-        case TermSelector.B_EVEN:
-            return sum(comb(2 * n + 1, 2 * i) * k ** (n - i) for i in range(n + 1))
-        case TermSelector.B_ODD:
-            return sum(comb(2 * n + 2, 2 * i + 1) * k ** (n - i) for i in range(n + 1))
-        case TermSelector.AT_EVEN:
-            return sum(comb(2 * n, 2 * i + 1) * k ** (i + 1) for i in range(n))
-        case TermSelector.AT_ODD:
-            return sum(comb(2 * n + 1, 2 * i + 1) * k ** (i + 1) for i in range(n + 1))
-        case TermSelector.BT_EVEN:
-            return sum(comb(2 * n, 2 * i) * k ** i for i in range(n + 1))
-        case TermSelector.BT_ODD:
-            return sum(comb(2 * n + 1, 2 * i) * k ** i for i in range(n + 1))
-        case TermSelector.U_EVEN:
-            return sum(comb(2 * n, 2 * i) * hk ** i for i in range(n + 1))
-        case TermSelector.U_ODD:
-            return sum(comb(2 * n + 1, 2 * i) * hk ** i for i in range(n + 1))
-        case TermSelector.V_EVEN:
-            return h * sum(comb(2 * n, 2 * i + 1) * hk ** i for i in range(n))
-        case TermSelector.V_ODD:
-            return h * sum(comb(2 * n + 1, 2 * i + 1) * hk ** i for i in range(n + 1))
-    raise AssertionError(sel)
-
-
-def closed_form_half(sel: TermSelector, k: int, n: int, h: int = 1) -> int:
-    """Same term as binomial_sum_term, but via surd powers.
-
-    Everything is spelled out in QuadSurd algebra so the radical
-    cancellation is checked rather than assumed.
-    """
-    _check_term_args(sel, k, n, h)
-    half = Fraction(1, 2)
-    if sel in _H_SELECTORS:
-        rad = h * k
-        base = QuadSurd(1 + h * k, 2, rad)  # (1 + sqrt(hk))^2
-    else:
-        rad = k
-        base = QuadSurd(k + 1, 2, rad)      # (1 + sqrt(k))^2
-    root = root_of(rad)
-    x = base ** (n + 1) if sel in (TermSelector.A_ODD, TermSelector.B_ODD) else base ** n
-    y = x.conj()
-    match sel:
-        case TermSelector.A_EVEN:
-            expr = (x + y) * half + root * (x - y) * half
-        case TermSelector.A_ODD:
-            expr = (x + y) * half
-        case TermSelector.B_EVEN:
-            expr = (x + y) * half + (x - y) / (root * 2)
-        case TermSelector.B_ODD:
-            expr = (x - y) / (root * 2)
-        case TermSelector.AT_EVEN:
-            expr = root * (x - y) * half
-        case TermSelector.AT_ODD:
-            expr = root * (x - y) * half + k * (x + y) * half
-        case TermSelector.BT_EVEN:
-            expr = (x + y) * half
-        case TermSelector.BT_ODD:
-            expr = root * (x - y) * half + (x + y) * half
-        case TermSelector.U_EVEN:
-            expr = (x + y) * half
-        case TermSelector.U_ODD:
-            expr = root * (x - y) * half + (x + y) * half
-        case TermSelector.V_EVEN:
-            # sqrt(h)/sqrt(k) rewritten as sqrt(hk)/k to stay in one field
-            expr = root * (x - y) / (2 * k)
-        case TermSelector.V_ODD:
-            expr = root * (x - y) / (2 * k) + h * (x + y) * half
-        case _:
-            raise AssertionError(sel)
-    return as_exact_int(expr)
-
-
 class SequenceName(Enum):
     A = "a"
     B = "b"
@@ -311,48 +201,58 @@ class SequenceName(Enum):
     V = "v"
 
 
-_PARITY_DISPATCH = {
-    SequenceName.A: (TermSelector.A_EVEN, TermSelector.A_ODD),
-    SequenceName.B: (TermSelector.B_EVEN, TermSelector.B_ODD),
-    SequenceName.A_TILDE: (TermSelector.AT_EVEN, TermSelector.AT_ODD),
-    SequenceName.B_TILDE: (TermSelector.BT_EVEN, TermSelector.BT_ODD),
-    SequenceName.U: (TermSelector.U_EVEN, TermSelector.U_ODD),
-    SequenceName.V: (TermSelector.V_EVEN, TermSelector.V_ODD),
+# name -> (takes h, exponent shift, odd part, factor).  With K = hk
+# (h = 1 unless the name takes h), each term is the factor times the
+# rational part (odd 0) or the sqrt(K) coefficient (odd 1) of
+# (1 + sqrt(K))^(n + shift):
+#   a_n + b_n sqrt(k) = (1 + sqrt(k))^(n+1)
+#   at_n + bt_n sqrt(k) = sqrt(k) (1 + sqrt(k))^n
+#   u_n + (v_n / h) sqrt(hk) = (1 + sqrt(hk))^n
+_TERM_FORM = {
+    SequenceName.A: (False, 1, 0, "1"),
+    SequenceName.B: (False, 1, 1, "1"),
+    SequenceName.A_TILDE: (False, 0, 1, "k"),
+    SequenceName.B_TILDE: (False, 0, 0, "1"),
+    SequenceName.U: (True, 0, 0, "1"),
+    SequenceName.V: (True, 0, 1, "h"),
 }
 
 
-def binomial_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
-    """Full-index binomial evaluation, routed through the parity split."""
+def _term_form(name: SequenceName, k: int, n: int, h: int) -> tuple[int, int, int, int]:
+    """(K, e, odd, factor) of name's term at index n, checked."""
+    _require_ints(k=k, n=n, h=h)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    even_sel, odd_sel = _PARITY_DISPATCH[name]
-    sel = even_sel if n % 2 == 0 else odd_sel
-    return binomial_sum_term(sel, k, n // 2, h)
+    takes_h, shift, odd, factor = _TERM_FORM[name]
+    if takes_h:
+        if h < 1:
+            raise ValueError(f"h must be at least 1, got {h}")
+    elif h != 1:
+        raise ValueError(f"{name.value} takes no h parameter")
+    return h * k, n + shift, odd, {"1": 1, "k": k, "h": h}[factor]
+
+
+def binomial_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
+    """One term at full index n, summed over the binomial coefficients
+    of its part of (1 + sqrt(K))^e; no recurrence, no surd powering."""
+    rad, e, odd, factor = _term_form(name, k, n, h)
+    return factor * binomial_part(rad, e, odd)
 
 
 def closed_form_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
-    """Full-index closed form for one sequence member.
-
-    The base pair uses powers of 1 + sqrt(k) directly; the tilde and
-    u/v variants go through the even/odd split closed forms.
+    """One term at full index n, read off x = (1 + sqrt(K))^e in QuadSurd
+    algebra through its conjugate y: the rational part is (x + y)/2, the
+    sqrt(K) coefficient sqrt(K) (x - y)/(2K).  The radical cancellation
+    is checked rather than assumed.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    if name in (SequenceName.A, SequenceName.B):
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if h != 1:
-            raise ValueError(f"{name.value} takes no h parameter")
-        x = QuadSurd(1, 1, k) ** (n + 1)
-        y = x.conj()
-        if name is SequenceName.A:
-            expr = (x + y) * Fraction(1, 2)
-        else:
-            expr = (x - y) / (root_of(k) * 2)
-        return as_exact_int(expr)
-    even_sel, odd_sel = _PARITY_DISPATCH[name]
-    sel = even_sel if n % 2 == 0 else odd_sel
-    return closed_form_half(sel, k, n // 2, h)
+    rad, e, odd, factor = _term_form(name, k, n, h)
+    x = QuadSurd(1, 1, rad) ** e
+    y = x.conj()
+    if odd:
+        return as_exact_int(root_of(rad) * (x - y) * Fraction(factor, 2 * rad))
+    return as_exact_int((x + y) * Fraction(factor, 2))
 
 
 def genfunc_coeffs(numer: Sequence[int], denom: Sequence[int], count: int) -> list[int]:
@@ -417,6 +317,7 @@ def reduced_cd(m: int, count: int) -> list[TermPair]:
     2^(t+1); the d side reduces b the same way.  The reduction suite
     checks the terms against the base pair, u2 and the genfuncs.
     """
+    _require_ints(m=m, count=count)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if count < 1:

@@ -1,20 +1,18 @@
 """Sequence families and their four evaluation strategies."""
 import pytest
 
+from surdseq import identities, newton, quad, sequences
 from surdseq.sequences import (
     Family,
     SeqSpec,
     SequenceName,
     TermPair,
-    TermSelector,
     a_genfunc,
     a_genfunc_fourth,
     b_genfunc,
     b_genfunc_fourth,
-    binomial_sum_term,
     binomial_term,
     c_genfunc,
-    closed_form_half,
     closed_form_term,
     coupled_iterate,
     coupled_stream,
@@ -118,55 +116,85 @@ def test_second_order_needs_both_seeds():
         second_order_iterate(2, 1, 1, 3, 1)
 
 
+_FAMILY_OF = {
+    SequenceName.A: (Family.AB, 0),
+    SequenceName.B: (Family.AB, 1),
+    SequenceName.A_TILDE: (Family.AB_TILDE, 0),
+    SequenceName.B_TILDE: (Family.AB_TILDE, 1),
+    SequenceName.U: (Family.UV, 0),
+    SequenceName.V: (Family.UV, 1),
+}
+
+
+def _iterated(name, k, h, count):
+    family, side = _FAMILY_OF[name]
+    return [(t.num, t.den)[side] for t in coupled_iterate(SeqSpec(family, k=k, h=h), count)]
+
+
 @pytest.mark.parametrize("name,h", [
-    (SequenceName.A, 1),
-    (SequenceName.B, 1),
-    (SequenceName.A_TILDE, 1),
-    (SequenceName.B_TILDE, 1),
-    (SequenceName.U, 3),
-    (SequenceName.V, 3),
+    (name, h) for name in SequenceName
+    for h in ((1, 2, 6) if name in (SequenceName.U, SequenceName.V) else (1,))
 ])
-def test_binomial_and_closed_match_iteration(name, h):
-    k = 5
-    if name in (SequenceName.A, SequenceName.B):
-        family = SeqSpec(Family.AB, k=k)
-    elif name in (SequenceName.A_TILDE, SequenceName.B_TILDE):
-        family = SeqSpec(Family.AB_TILDE, k=k)
-    else:
-        family = SeqSpec(Family.UV, k=k, h=h)
-    side = 0 if name in (SequenceName.A, SequenceName.A_TILDE, SequenceName.U) else 1
-    for t in coupled_iterate(family, 15):
-        expected = (t.num, t.den)[side]
-        assert binomial_term(name, k, t.n, h) == expected
-        assert closed_form_term(name, k, t.n, h) == expected
+@pytest.mark.parametrize("k", [1, 2, 4, 7, 9, 150])
+def test_binomial_and_closed_match_iteration(name, k, h):
+    for n, expected in enumerate(_iterated(name, k, h, 41)):
+        assert binomial_term(name, k, n, h) == expected
+        assert closed_form_term(name, k, n, h) == expected
 
 
-def test_half_index_forms_agree_with_each_other():
-    for sel in TermSelector:
-        h = 2 if sel.value.startswith(("u", "v")) else 1
-        for k in (2, 7):
-            for n in range(8):
-                assert binomial_sum_term(sel, k, n, h) == closed_form_half(sel, k, n, h)
+def test_binomial_and_closed_share_no_kernel(monkeypatch):
+    # neither route may reach the surd kernel, the coupled stream or
+    # fast_term, or an identity would compare a route with itself
+    h_of = {name: 2 if name in (SequenceName.U, SequenceName.V) else 1 for name in SequenceName}
+    expected = {name: _iterated(name, 7, h, 12) for name, h in h_of.items()}
+    orbit = newton.newton_run(7, 4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an independent route reached a shared kernel")
+
+    for module in (sequences, newton, quad, identities):
+        for attr in ("surd_pow", "surd_square", "coupled_stream", "fast_term"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, forbidden)
+    for name, h in h_of.items():
+        assert [binomial_term(name, 7, n, h) for n in range(12)] == expected[name]
+        assert [closed_form_term(name, 7, n, h) for n in range(12)] == expected[name]
+    assert [newton.newton_binomial_sum(7, st.n, "a") for st in orbit] == [st.a for st in orbit]
+    assert [newton.newton_binomial_sum(7, st.n, "b") for st in orbit[1:]] == [
+        st.b for st in orbit[1:]]
 
 
-def test_half_index_h_validation():
+@pytest.mark.parametrize("route", [binomial_term, closed_form_term])
+@pytest.mark.parametrize("name,k,n,h", [
+    (SequenceName.A, 2, -1, 1),
+    (SequenceName.B, 2, -1, 1),
+    (SequenceName.A, 2, 3, 2),
+    (SequenceName.A_TILDE, 2, 3, 2),
+    (SequenceName.V, 2, 3, 0),
+    (SequenceName.U, 2, 3, 0),
+    (SequenceName.B, 0, 3, 1),
+    (SequenceName.V, 0, 3, 2),
+])
+def test_full_index_validation(route, name, k, n, h):
     with pytest.raises(ValueError):
-        binomial_sum_term(TermSelector.A_EVEN, 2, 3, h=2)
-    with pytest.raises(ValueError):
-        closed_form_half(TermSelector.V_EVEN, 2, 3, h=0)
-    with pytest.raises(ValueError):
-        binomial_sum_term(TermSelector.B_ODD, 0, 3)
-    with pytest.raises(ValueError):
-        closed_form_half(TermSelector.B_ODD, 2, -1)
+        route(name, k, n, h)
 
 
-def test_full_index_validation():
-    with pytest.raises(ValueError):
-        closed_form_term(SequenceName.A, 2, -1)
-    with pytest.raises(ValueError):
-        closed_form_term(SequenceName.A, 2, 3, h=2)
-    with pytest.raises(ValueError):
-        binomial_term(SequenceName.B, 2, -1)
+@pytest.mark.parametrize("call", [
+    lambda: binomial_term(SequenceName.A, 2.0, 3),
+    lambda: binomial_term(SequenceName.A, 2, 3.0),
+    lambda: closed_form_term(SequenceName.U, 2, 3, h=1.5),
+    lambda: reduced_cd(1.0, 3),
+    lambda: reduced_cd(1, 3.0),
+    lambda: SeqSpec(Family.AB, k=2.0),
+    lambda: SeqSpec(Family.UV, k=2, h=1.0),
+    lambda: SeqSpec(Family.CD_REDUCED, m=1.0),
+])
+def test_non_int_parameters_rejected(call):
+    # a float would otherwise run through and come out as a float term,
+    # or as the term of a different k
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
 
 
 def test_genfunc_coeffs_known_series():
