@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .exact import ConsistencyError, _decimal, decimal_str, isqrt, perfect_square_root
+from .exact import ConsistencyError, _decimal, decimal_str, isqrt, perfect_square_root, require_int
 from .quad import surd_square
 
 
@@ -31,12 +31,9 @@ def floor_root_scaled(k: int, h: int, digits: int) -> int:
     floor(x/h) = floor(floor(x)/h) for integer h, so the nested floors
     collapse and no guard digits are needed.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if h < 1:
-        raise ValueError(f"h must be at least 1, got {h}")
-    if digits < 0:
-        raise ValueError(f"digits must be nonnegative, got {digits}")
+    require_int("k", k, 1)
+    require_int("h", h, 1)
+    require_int("digits", digits, 0)
     return isqrt(k * h * 10 ** (2 * digits)) // h
 
 
@@ -109,12 +106,11 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     The certificate compares t = floor(10^digits a / b) against the
     scaled radicand on both sides, all in integers.
     """
-    if a < 0 or b < 1:
-        raise ValueError(f"need a >= 0 and b >= 1, got a={a}, b={b}")
-    if k < 1 or h < 1:
-        raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    require_int("a", a, 0)
+    require_int("b", b, 1)
+    require_int("k", k, 1)
+    require_int("h", h, 1)
+    require_int("digits", digits, 1)
     scale = 10 ** digits
     a, b = _strip_twos(a, b)
     return _certify(a, b, k, h, digits, scale, k * scale * scale)
@@ -276,10 +272,9 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     Returns the certified digits along with the index that sufficed
     and an exact upper bound on |a/b - sqrt(k/h)| at that index.
     """
-    if k < 1 or h < 1:
-        raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    require_int("k", k, 1)
+    require_int("h", h, 1)
+    require_int("digits", digits, 1)
     scale = 10 ** digits
     scaled = k * scale * scale
     for index, num, den, residual in _convergents(k, h, method, scale.bit_length()):
@@ -306,11 +301,11 @@ def cf_convergents(k: int, count: int) -> list[Fraction]:
     An independent yardstick: it shares no code with the pair
     recurrences, so agreement between the two is worth something.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
-    a0 = isqrt(k) if k >= 0 else 0
-    if k < 2 or a0 * a0 == k:
-        raise ValueError(f"continued fraction needs nonsquare k >= 2, got {k}")
+    require_int("count", count, 1)
+    require_int("k", k, 2)
+    a0 = isqrt(k)
+    if a0 * a0 == k:
+        raise ValueError(f"continued fraction needs a nonsquare k, got {k}")
     m, d, a = 0, 1, a0
     h_cur, h_prev = a0, 1
     k_cur, k_prev = 1, 0
@@ -342,10 +337,8 @@ def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchR
     """Race each method to certification on sqrt(k) through approximate.
 
     All methods must land on the same digit string or the whole run is
-    thrown out as inconsistent.
+    thrown out as inconsistent.  approximate checks k and digits.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
     if not methods:
         raise ValueError("need at least one method")
     records = []

@@ -5,6 +5,9 @@ root comparisons go through cross-multiplied integer inequalities, and
 rationals are plain ``fractions.Fraction`` values, which already keep
 themselves reduced with a positive denominator.  Decimal text of any
 length goes through decimal_str, which works under any int->str cap.
+require_int is the one argument rule: every public entry point checks
+its int arguments through it, so a float or a Fraction where an exact
+int belongs is a ValueError naming the parameter, never a float result.
 """
 from __future__ import annotations
 
@@ -18,10 +21,18 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check failed.  Signals a bug, never bad input."""
 
 
+def require_int(name: str, value: object, least: int | None = None) -> None:
+    """Raise ValueError naming the parameter unless value is an int
+    and, when least is given, at least least."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def isqrt(n: int) -> int:
     """Floor of the square root of a nonnegative integer."""
-    if n < 0:
-        raise ValueError(f"isqrt is undefined for negative input {n}")
+    require_int("n", n, 0)
     return math.isqrt(n)
 
 
@@ -31,6 +42,7 @@ def perfect_square_root(n: int) -> int | None:
     Negative inputs return None rather than raising: they are never
     perfect squares, and callers probe speculatively.
     """
+    require_int("n", n)
     if n < 0:
         return None
     r = math.isqrt(n)
@@ -44,10 +56,8 @@ def cmp_to_root(q: Rational | int, k: int, h: int = 1) -> int:
     Since both sides are nonnegative, squaring preserves the order and
     the comparison reduces to num(q)^2 * h versus k * den(q)^2.
     """
-    if k < 0:
-        raise ValueError(f"radicand numerator must be nonnegative, got {k}")
-    if h < 1:
-        raise ValueError(f"radicand denominator must be positive, got {h}")
+    require_int("k", k, 0)
+    require_int("h", h, 1)
     q = Fraction(q)
     if q < 0:
         raise ValueError(f"cmp_to_root expects a nonnegative rational, got {q}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import ConsistencyError, perfect_square_root
+from .exact import ConsistencyError, perfect_square_root, require_int
 from .quad import surd_pow
 from .sequences import TermPair
 
@@ -21,10 +21,8 @@ def pell_residual(k: int, n: int) -> int:
     The sign alternates, which is what makes consecutive ratios
     bracket sqrt(k) from both sides.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    require_int("k", k, 1)
+    require_int("n", n, 0)
     a, b = surd_pow(1, 1, k, n + 1)
     residual = a * a - k * b * b
     if residual != (1 - k) ** (n + 1):
@@ -37,12 +35,9 @@ def index_double(k: int, n: int) -> int:
 
     Uses a_{2n} = 2 a_{n-1} a_n - (1-k)^n, with a_{n-1} = a_n - k b_{n-1}
     and b_{n-1} = (a_n - b_n)/(k - 1), and checks the result against
-    fast_term at 2n before handing it back.
+    fast_term at 2n before handing it back; fast_term checks k.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 1:
-        raise ValueError(f"index must be at least 1, got {n}")
+    require_int("n", n, 1)
     _, a_n, b_n = fast_term(k, n)
     a_prev = a_n - k * ((a_n - b_n) // (k - 1))
     doubled = 2 * a_prev * a_n - (1 - k) ** n
@@ -58,12 +53,10 @@ def sqrt_double(k: int, n: int, a_n: int, b_n: int) -> TermPair:
     every division must be exact; any misfire means the inputs were
     not a genuine pair for this k and n.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 1:
-        raise ValueError(f"index must be at least 1, got {n}")
-    if a_n < 1 or b_n < 1:
-        raise ValueError("pair terms are positive")
+    require_int("k", k, 2)
+    require_int("n", n, 1)
+    require_int("a_n", a_n, 1)
+    require_int("b_n", b_n, 1)
     w = (1 - k) ** (n + 1)
 
     def reject() -> ValueError:
@@ -91,10 +84,8 @@ def sqrt_double(k: int, n: int, a_n: int, b_n: int) -> TermPair:
 
 def two_power_ladder(k: int, levels: int) -> list[TermPair]:
     """Pairs at indices 1, 2, 4, ..., 2^levels by repeated sqrt_double."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if levels < 0:
-        raise ValueError(f"levels must be nonnegative, got {levels}")
+    require_int("k", k, 2)
+    require_int("levels", levels, 0)
     pair = TermPair(1, k + 1, 2)
     out = [pair]
     for _ in range(levels):
@@ -111,14 +102,9 @@ def addition_jump(k: int, m: int, n: int) -> TermPair:
     b_{n-1} = (a_n - b_n)/(k - 1) makes the k - 1 cancel, so the whole
     computation stays on the four allowed indices.  Those come from
     fast_term at m and n, with b_{m-1} = (a_m - b_m)/(k - 1) and
-    b_{n+1} = a_n + b_n.
+    b_{n+1} = a_n + b_n.  fast_term checks k and n.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_int("m", m, 1)
     _, a_m, b_m = fast_term(k, m)
     _, a_n, b_n = fast_term(k, n)
     b_prev = (a_m - b_m) // (k - 1)
@@ -131,10 +117,8 @@ def addition_jump(k: int, m: int, n: int) -> TermPair:
 def fast_term(k: int, n: int) -> TermPair:
     """(a_n, b_n) as a_n + b_n sqrt(k) = (1 + sqrt(k))^(n+1), by surd_pow in
     O(log n) multiplies; the identities suite checks it against iteration."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    require_int("k", k, 2)
+    require_int("n", n, 0)
     return TermPair(n, *surd_pow(1, 1, k, n + 1))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import _STR_PIECE, perfect_square_root
+from .exact import _STR_PIECE, perfect_square_root, require_int
 from .quad import binomial_part, surd_pow
 
 # Published-series ids covered by the bundled data files, mapped to
@@ -42,10 +42,8 @@ class NewtonState:
 
 def newton_start(k: int, h: int = 1) -> NewtonState:
     """State 0, the seed pair (1, 1), of the orbit for sqrt(k/h)."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if h < 1:
-        raise ValueError(f"h must be at least 1, got {h}")
+    require_int("k", k, 2)
+    require_int("h", h, 1)
     if h == k:
         raise ValueError("k = h starts on the root itself; nothing to iterate")
     return NewtonState(0, 1, 1, h - k, k, h)
@@ -59,8 +57,7 @@ def newton_step(state: NewtonState) -> NewtonState:
 
 def newton_run(k: int, steps: int, h: int = 1) -> list[NewtonState]:
     """States 0 through steps, starting from the seed pair (1, 1)."""
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    require_int("steps", steps, 0)
     out = [newton_start(k, h)]
     for _ in range(steps):
         out.append(newton_step(out[-1]))
@@ -73,10 +70,9 @@ def squared_shortcut(k: int, n: int, prev_a: int) -> int:
     Valid from n = 2 on; the step into n = 1 predates the residual
     pattern the shortcut leans on.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 2:
-        raise ValueError(f"the shortcut starts at n = 2, got {n}")
+    require_int("k", k, 2)
+    require_int("n", n, 2)
+    require_int("prev_a", prev_a)
     return 2 * prev_a * prev_a - (k - 1) ** (2 ** (n - 1))
 
 
@@ -87,12 +83,9 @@ def b_from_sqrt(k: int, prev_b: int, n: int) -> int:
     a_0^2 = k + (k - 1), which no k > 1 satisfies), so recovery by
     radical starts one step later than the rest of the shortcuts.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 2:
-        raise ValueError(f"radical recovery needs n >= 2, got {n}")
-    if prev_b < 1:
-        raise ValueError(f"b terms are positive, got {prev_b}")
+    require_int("k", k, 2)
+    require_int("n", n, 2)
+    require_int("prev_b", prev_b, 1)
     root = perfect_square_root(k * prev_b * prev_b + (k - 1) ** (2 ** (n - 1)))
     if root is None:
         raise ValueError(f"{prev_b} is not the b term before index {n} for k={k}")
@@ -101,10 +94,8 @@ def b_from_sqrt(k: int, prev_b: int, n: int) -> int:
 
 def b_product_form(k: int, n: int) -> int:
     """b_n as 2^n times the product of all earlier a terms."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    require_int("k", k, 2)
+    require_int("n", n, 0)
     prod = 1
     if n > 0:
         for state in newton_run(k, n - 1):
@@ -115,10 +106,8 @@ def b_product_form(k: int, n: int) -> int:
 def newton_closed_form(k: int, n: int) -> tuple[int, int]:
     """(a_n, b_n) as a_n + b_n sqrt(k) = (1 + sqrt(k))^(2^n), by surd_pow;
     the newton suite checks it against newton_run (newton_closed_form)."""
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    require_int("k", k, 2)
+    require_int("n", n, 0)
     return surd_pow(1, 1, k, 2 ** n)
 
 
@@ -128,15 +117,11 @@ def newton_binomial_sum(k: int, n: int, side: str = "a") -> int:
     The b summation is empty of meaning at n = 0 (there is no power
     of 1 + sqrt(k) below the first), so asking for it is an error.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    require_int("k", k, 2)
+    require_int("n", n, 1 if side == "b" else 0)
     if side == "a":
         return binomial_part(k, 2 ** n, 0)
     if side == "b":
-        if n == 0:
-            raise ValueError("the b summation needs n >= 1")
         return binomial_part(k, 2 ** n, 1)
     raise ValueError(f"side must be 'a' or 'b', got {side!r}")
 
@@ -149,8 +134,7 @@ def generated_terms(series_id: str, count: int) -> list[int]:
         raise ValueError(
             f"unknown series id {series_id!r}; bundled: {sorted(OEIS_SERIES)}"
         ) from None
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    require_int("count", count, 1)
     run = newton_run(2, count - 1)
     return [state.a if side == "a" else state.b for state in run]
 

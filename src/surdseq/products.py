@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ConsistencyError
+from .exact import ConsistencyError, require_int
 from .quad import surd_pow
 
 
@@ -33,10 +33,8 @@ class ProductState:
 def cd_run(r: int, steps: int) -> list[ProductState]:
     """States 0 through steps, with the partial-product invariant
     checked at every stage past the seed."""
-    if r < 2:
-        raise ValueError(f"r must be at least 2, got {r}")
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    require_int("r", r, 2)
+    require_int("steps", steps, 0)
     out = [ProductState(r, 0, 1, 1, Fraction(1))]
     c, d, partial = 1, 1, Fraction(1)
     for n in range(1, steps + 1):
@@ -51,18 +49,15 @@ def cd_run(r: int, steps: int) -> list[ProductState]:
 def cd_closed_form(r: int, n: int) -> tuple[int, int]:
     """(c_n, d_n) as c_n + d_n sqrt(r^2 - 1) = (r + sqrt(r^2 - 1))^(2^(n-1)),
     by surd_pow; the products suite checks it against cd_run."""
-    if r < 2:
-        raise ValueError(f"r must be at least 2, got {r}")
-    if n < 1:
-        raise ValueError(f"closed forms start at n = 1, got {n}")
+    require_int("r", r, 2)
+    require_int("n", n, 1)
     return surd_pow(r, 1, r * r - 1, 2 ** (n - 1))
 
 
 def partial_product(r: int, n: int) -> Fraction:
     """prod_{i=1..n} (1 + 1/c_i), multiplied out by cd_run, which
     checks it against the closed form (r+1) d_n / c_n at every stage."""
-    if n < 1:
-        raise ValueError(f"partial products start at n = 1, got {n}")
+    require_int("n", n, 1)
     return cd_run(r, n)[n].partial
 
 

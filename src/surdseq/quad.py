@@ -12,21 +12,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import ConsistencyError
+from .exact import ConsistencyError, require_int
 
 _Scalar = (int, Fraction)
 
 
 def surd_square(p: int, q: int, d: int) -> tuple[int, int]:
     """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^2."""
+    require_int("p", p)
+    require_int("q", q)
+    require_int("d", d)
     return p * p + d * (q * q), (p * q) << 1
 
 
 def surd_pow(p: int, q: int, d: int, e: int) -> tuple[int, int]:
     """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^e, for e >= 0: square
-    at each bit of e from the top, times p + q sqrt(d) at each set bit."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
+    at each bit of e from the top, times p + q sqrt(d) at each set bit;
+    the first squaring, by surd_square, checks d."""
+    require_int("p", p)
+    require_int("q", q)
+    require_int("e", e, 0)
     big_p, big_q = 1, 0
     for bit in bin(e)[2:]:
         big_p, big_q = surd_square(big_p, big_q, d)
@@ -50,8 +55,7 @@ class QuadSurd:
     radicand: int
 
     def __post_init__(self) -> None:
-        if self.radicand < 0:
-            raise ValueError(f"radicand must be nonnegative, got {self.radicand}")
+        require_int("radicand", self.radicand, 0)
         object.__setattr__(self, "rat", Fraction(self.rat))
         object.__setattr__(self, "coef", Fraction(self.coef))
 
@@ -103,16 +107,17 @@ class QuadSurd:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> QuadSurd:
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
+        """self^e for e >= 0, squaring the base only while bits of e remain."""
+        require_int("e", e, 0)
         result = QuadSurd.from_scalar(1, self.radicand)
         base = self
-        while e:
+        while True:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __truediv__(self, other: object) -> QuadSurd:
         o = self._coerce(other)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
+from .exact import require_int
 from .newton import newton_run
 from .products import cd_run
 from .quad import QuadSurd, as_exact_int, binomial_part, root_of, surd_pow
@@ -38,14 +39,6 @@ class TermPair(NamedTuple):
     n: int
     num: int
     den: int
-
-
-def _require_ints(**params: object) -> None:
-    """Reject a float or other non-int where an exact int belongs;
-    None stands for a parameter not given."""
-    for label, value in params.items():
-        if value is not None and not isinstance(value, int):
-            raise ValueError(f"{label} must be an int, got {value!r}")
 
 
 _COUPLED_START = {
@@ -76,20 +69,19 @@ class SeqSpec:
     seed: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        _require_ints(k=self.k, h=self.h, m=self.m)
         fam = self.family
-        if self.h < 1:
-            raise ValueError(f"h must be at least 1, got {self.h}")
+        require_int("h", self.h, 1)
         if fam not in _TAKES_H and self.h != 1:
             raise ValueError(f"h applies to the uv and newton families only, not {fam.value}")
         if fam in _TAKES_M:
             k, m = self.k, self.m
+            if k is not None:
+                require_int("k", k, 1)
             if m is None:
-                if k is None or k < 1 or k % 2 == 0:
-                    raise ValueError(f"{fam.value} needs odd k >= 1 or explicit m")
+                if k is None or k % 2 == 0:
+                    raise ValueError(f"{fam.value} needs an odd k or explicit m")
                 m = (k - 1) // 2
-            if m < 0:
-                raise ValueError(f"m must be nonnegative, got {m}")
+            require_int("m", m, 0)
             if k is None:
                 k = 2 * m + 1
             if k != 2 * m + 1:
@@ -100,12 +92,12 @@ class SeqSpec:
             if self.m is not None:
                 raise ValueError(f"m applies to cd/u2 families only, not {fam.value}")
             least = 2 if fam in (Family.NEWTON, Family.PRODUCT) else 1
-            name = "r" if fam is Family.PRODUCT else "k"
-            if self.k is None or self.k < least:
-                raise ValueError(f"{fam.value} needs {name} >= {least}, got {self.k}")
+            require_int("r" if fam is Family.PRODUCT else "k", self.k, least)
         if fam in _SEEDED:
-            if self.seed is None:
-                raise ValueError(f"{fam.value} needs a seed pair (w0, w1)")
+            if not isinstance(self.seed, tuple) or len(self.seed) != 2:
+                raise ValueError(f"{fam.value} needs a seed pair (w0, w1), got {self.seed!r}")
+            for i, value in enumerate(self.seed):
+                require_int(f"seed[{i}]", value)
         elif self.seed is not None:
             raise ValueError(f"seeds apply to w/u2 families only, not {fam.value}")
 
@@ -119,8 +111,7 @@ def terms(spec: SeqSpec, count: int) -> list[TermPair] | list[int]:
     the same numbers stays a separate function, so that verify can
     compare two computations that share no code.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    require_int("count", count, 1)
     match spec.family:
         case Family.AB | Family.AB_TILDE | Family.UV:
             return coupled_iterate(spec, count)
@@ -177,15 +168,15 @@ def coupled_iterate(spec: SeqSpec, count: int) -> list[TermPair]:
     This is the reference evaluation every other strategy is judged
     against, so it stays deliberately dumb: one add-multiply per side.
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    require_int("count", count, 1)
     return list(islice(coupled_stream(spec), count))
 
 
 def second_order_iterate(p: int, q: int, w0: int, w1: int, count: int) -> list[int]:
     """Terms of w_n = p*w_{n-1} + q*w_{n-2} from the two seeds."""
-    if count < 2:
-        raise ValueError(f"count must cover both seeds, got {count}")
+    for label, value in (("p", p), ("q", q), ("w0", w0), ("w1", w1)):
+        require_int(label, value)
+    require_int("count", count, 2)
     out = [w0, w1]
     while len(out) < count:
         out.append(p * out[-1] + q * out[-2])
@@ -220,16 +211,11 @@ _TERM_FORM = {
 
 def _term_form(name: SequenceName, k: int, n: int, h: int) -> tuple[int, int, int, int]:
     """(K, e, odd, factor) of name's term at index n, checked."""
-    _require_ints(k=k, n=n, h=h)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
+    require_int("k", k, 1)
+    require_int("n", n, 0)
+    require_int("h", h, 1)
     takes_h, shift, odd, factor = _TERM_FORM[name]
-    if takes_h:
-        if h < 1:
-            raise ValueError(f"h must be at least 1, got {h}")
-    elif h != 1:
+    if not takes_h and h != 1:
         raise ValueError(f"{name.value} takes no h parameter")
     return h * k, n + shift, odd, {"1": 1, "k": k, "h": h}[factor]
 
@@ -263,8 +249,10 @@ def genfunc_coeffs(numer: Sequence[int], denom: Sequence[int], count: int) -> li
     long as the constant term divides every step (it is 1 for all the
     generating functions in this library).
     """
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    require_int("count", count, 1)
+    for label, coeffs in (("numer", numer), ("denom", denom)):
+        for i, value in enumerate(coeffs):
+            require_int(f"{label}[{i}]", value)
     if not denom or denom[0] == 0:
         raise ValueError("denominator needs a nonzero constant term")
     out: list[int] = []
@@ -317,11 +305,8 @@ def reduced_cd(m: int, count: int) -> list[TermPair]:
     2^(t+1); the d side reduces b the same way.  The reduction suite
     checks the terms against the base pair, u2 and the genfuncs.
     """
-    _require_ints(m=m, count=count)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+    require_int("m", m, 0)
+    require_int("count", count, 1)
     k = 2 * m + 1
     out: list[TermPair] = []
     for n in range(count):

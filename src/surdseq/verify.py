@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .exact import perfect_square_root
+from .exact import perfect_square_root, require_int
 from .identities import (
     FailureWitness,
     IdentityReport,
@@ -370,12 +370,11 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; have {', '.join(SUITE_NAMES)}")
-    if k_min < 2:
-        raise ValueError(f"k range starts at 2, got k_min={k_min}")
+    require_int("k_min", k_min, 2)
+    require_int("k_max", k_max)
+    require_int("n_max", n_max, 1)
     if k_max < k_min:
         raise ValueError(f"empty k range: {k_min}..{k_max}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
     names = list(_SUITES) if name == "all" else [name]
     out: list[IdentityReport] = []
     for suite in names:

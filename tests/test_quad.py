@@ -137,6 +137,25 @@ def test_surd_pow_matches_the_fraction_route(p, q, d, e):
     assert surd_square(p, q, d) == (y.rat, y.coef)
 
 
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # one squaring per bit below the top and one multiply per set bit:
+    # a squaring past the top bit would be thrown away
+    calls = 0
+    multiply = QuadSurd.__mul__
+
+    def counting(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(QuadSurd, "__mul__", counting)
+    base = QuadSurd(1, 1, 2)
+    for e in range(1, 65):
+        calls = 0
+        base ** e
+        assert calls == e.bit_length() - 1 + bin(e).count("1"), e
+
+
 def test_surd_pow_edges():
     assert surd_pow(5, -3, 7, 0) == (1, 0)
     assert surd_pow(0, 0, 0, 0) == (1, 0)

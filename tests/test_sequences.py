@@ -1,4 +1,6 @@
 """Sequence families and their four evaluation strategies."""
+from fractions import Fraction
+
 import pytest
 
 from surdseq import identities, newton, quad, sequences
@@ -195,6 +197,14 @@ def test_non_int_parameters_rejected(call):
     # or as the term of a different k
     with pytest.raises(ValueError, match="must be an int"):
         call()
+
+
+@pytest.mark.parametrize("seed", [(1, 3, 5), (1,), (1.0, 3), (1, Fraction(3)), None])
+def test_seed_must_be_two_ints(seed):
+    # a seed of the wrong length used to fail later with a TypeError,
+    # and a float one ran through to float terms
+    with pytest.raises(ValueError, match="seed"):
+        SeqSpec(Family.W_FAMILY, k=2, seed=seed)
 
 
 def test_genfunc_coeffs_known_series():
