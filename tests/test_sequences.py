@@ -1,6 +1,4 @@
 """Sequence families and their four evaluation strategies."""
-from fractions import Fraction
-
 import pytest
 
 from surdseq import identities, newton, quad, sequences
@@ -199,10 +197,10 @@ def test_non_int_parameters_rejected(call):
         call()
 
 
-@pytest.mark.parametrize("seed", [(1, 3, 5), (1,), (1.0, 3), (1, Fraction(3)), None])
-def test_seed_must_be_two_ints(seed):
-    # a seed of the wrong length used to fail later with a TypeError,
-    # and a float one ran through to float terms
+@pytest.mark.parametrize("seed", [(1, 3, 5), (1,), [1, 3]])
+def test_seed_must_be_a_pair(seed):
+    # a seed of the wrong length used to fail later in terms with a
+    # TypeError; tests/test_package.py checks that both entries are ints
     with pytest.raises(ValueError, match="seed"):
         SeqSpec(Family.W_FAMILY, k=2, seed=seed)
 
