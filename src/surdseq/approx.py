@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -48,14 +49,9 @@ def _format_digits(t: int, digits: int, scale: int) -> str:
 _GUARD_BITS = 9
 
 
-def _shared_twos(a: int, b: int) -> int:
-    """The exponent of the power of two a and b share (b >= 1)."""
-    return ((a | b) & -(a | b)).bit_length() - 1
-
-
 def _strip_twos(a: int, b: int) -> tuple[int, int]:
     """a / b with the power of two both share divided out (b >= 1)."""
-    shift = _shared_twos(a, b)
+    shift = ((a | b) & -(a | b)).bit_length() - 1
     return a >> shift, b >> shift
 
 
@@ -116,22 +112,45 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     return _certify(a, b, k, h, digits, scale, k * scale * scale)
 
 
-def _convergents(k: int, h: int, method: Method,
-                 scale_bits: int | None = None) -> Iterator[tuple[int, int, int, int | None]]:
-    """Yield (index, A, B, residual) with A / B proposing sqrt(K), K = h k.
+def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int]]:
+    """Yield (A, B) in lowest terms with A / B the ratio of the parts of
+    (a + b sqrt(K))^(2^j), j = 1, 2, ..., for coprime a, b >= 1, K = radicand.
+
+    A step (A, B) -> (A^2 + K B^2, 2 A B) is Newton's y -> (y^2 + K) / (2 y)
+    on y = A / B.  With A and B coprime, let an odd prime q divide both
+    A' = A^2 + K B^2 and B' = 2 A B.  Then q divides A (q | B would give
+    q | A^2), not B, and so K.  With e = v_q(A) = v_q(B'), the shared power
+    is min(v_q(A'), e): that is v_q(K) when v_q(K) < 2e, since then
+    v_q(A') = v_q(K B^2) = v_q(K), and at most e <= v_q(K) otherwise.  So
+    once the twos are stripped, gcd(A', B') divides K, and one gcd of
+    remainders by K leaves the pair coprime.
+    """
+    while True:
+        a, b = _strip_twos(*surd_square(a, b, radicand))
+        common = gcd(a % radicand, b % radicand, radicand)
+        if common > 1:
+            a //= common
+            b //= common
+        yield a, b
+
+
+def _convergents(k: int, h: int, method: Method, scale_bits: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (index, A, B) with A / B proposing sqrt(K), K = h k.
 
     approximate reads each pair as A / (h B), which proposes
     sqrt(k/h) = sqrt(K) / h: the paper's rational at the paper's index.
     scale_bits is the bit length of 10^D for D digits asked for; LINEAR
-    then leaves out every pair its residual A^2 - K B^2 proves too far
-    from the root, and hands the residual over; None keeps every pair.
+    leaves out every pair its residual A^2 - K B^2 proves too far from
+    the root.  approximate alone certifies and bounds what is yielded.
 
     No odd prime q divides both A and B, so q divides gcd(A, h B) as
     often as it divides gcd(A, h).  LINEAR's and JUMP's pairs are
     (1 + sqrt(K))^e, e >= 1, up to a power of two: q | A, B would give
     q | A^2 - K B^2 = (1 - K)^e, so K = 1 mod q, where
     (1 + sqrt(K))^2 = 2 (1 + sqrt(K)) makes A = B = 2^(e-1) != 0 mod q.
-    NEWTON divides out what its step shares (see below).
+    NEWTON's pairs come from _squarings, which divides out what a step
+    shares; on JUMP's powers that gcd by K is 1, as q | K and
+    q | (1 - K)^e cannot both hold.
     """
     radicand = h * k
     if method is Method.LINEAR:
@@ -150,49 +169,34 @@ def _convergents(k: int, h: int, method: Method,
         factor = 1 - radicand
         h_bits = h.bit_length()
         root_bits = (isqrt(radicand) + 1).bit_length()
-        slack = None if scale_bits is None else scale_bits - 2
+        slack = scale_bits - 2
         index = 0
         while True:
             a, c, r = a + radicand * c, a + c, factor * r
             index += 1
             c_bits = c.bit_length()
-            if (slack is None or not r or r.bit_length() + slack
+            if (not r or r.bit_length() + slack
                     < h_bits + c_bits + max(a.bit_length(), c_bits + root_bits) + 1):
-                yield index, a, c, r
+                yield index, a, c
     elif method is Method.JUMP:
         if perfect_square_root(radicand) is not None:
             # with K = s^2, A - s B = (1 - s)^(index + 1), and index + 1 is
             # odd from index 2 on: the candidates lie below the rational
             # root s / h and never certify one whose decimals end early
             raise ValueError(f"index jumping needs a nonsquare k h, got k={k}, h={h}")
-        # p + q sqrt(K) = (1 + sqrt(K))^index over a power of two, squared
-        # once per step; the candidate at index is the next power, which
-        # at h = 1 is the paper's ab pair fast_term(k, index)
-        index, p, q = 1, 1, 1
-        while True:
-            yield index, p + radicand * q, p + q, None
-            p, q = _strip_twos(*surd_square(p, q, radicand))
+        # p + q sqrt(K) runs over 1 + sqrt(K) and its squarings, so the candidate
+        # (p + q sqrt(K)) (1 + sqrt(K)) at index = 2^j is (1 + sqrt(K))^(index + 1),
+        # at h = 1 the paper's ab pair fast_term(k, index)
+        index = 1
+        for p, q in chain([(1, 1)], _squarings(1, 1, radicand)):
+            yield index, p + radicand * q, p + q
             index *= 2
     elif method is Method.NEWTON:
         # The paper's step x -> (h x^2 + k) / (2 h x) is y -> (y^2 + K) / (2 y)
         # on y = h x, so the orbit of y from h (x = 1) is the paper's orbit
         # scaled by h, without the factors h puts into its pairs.
-        # With a and b coprime, let an odd prime q divide both a' = a^2 + K b^2
-        # and b' = 2 a b.  Then q divides a (q | b would give q | a^2), not b,
-        # and so K.  With e = v_q(a) = v_q(b'), the shared power is
-        # min(v_q(a'), e): that is v_q(K) when v_q(K) < 2e, since then
-        # v_q(a') = v_q(K b^2) = v_q(K), and at most e <= v_q(K) otherwise.
-        # So once the twos are stripped, gcd(a', b') divides K, and one gcd
-        # of remainders by K leaves the pair coprime.
-        index, a, b = 0, h, 1
-        while True:
-            a, b = _strip_twos(*surd_square(a, b, radicand))
-            common = gcd(a % radicand, b % radicand, radicand)
-            if common > 1:
-                a //= common
-                b //= common
-            index += 1
-            yield index, a, b, None
+        for index, (a, b) in enumerate(_squarings(h, 1, radicand), 1):
+            yield index, a, b
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -210,9 +214,8 @@ else:
             return Fraction(n, m, _normalize=False)
 
 
-def _coprime_error_bound(a: int, b: int, k: int, h: int, residual: int | None = None) -> Fraction:
-    """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime
-    a and b >= 1; residual is h a^2 - k b^2 when the caller knows it."""
+def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
+    """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime a and b >= 1."""
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
@@ -221,9 +224,7 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int, residual: int | None = 
     guard = 10 ** 8
     radicand = k * h * guard * guard
     p = isqrt(radicand)
-    if residual is None:
-        residual = h * a * a - k * b * b
-    num = abs(residual) * guard
+    num = abs(h * a * a - k * b * b) * guard
     den = b * (a * h * guard + p * b)
     if p * p == radicand:
         # k h is a square, which covers every zero residual
@@ -239,21 +240,6 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int, residual: int | None = 
     shared = (radicand - p * p) * h * guard
     shared = gcd(num % shared, den % shared, shared)
     return _coprime_fraction(num // shared, den // shared)
-
-
-# A prime: a residual off by anything it does not divide fails the check.
-_RESIDUAL_MODULUS = 2 ** 61 - 1
-
-
-def _check_residual(a: int, b: int, radicand: int, residual: int) -> None:
-    """Raise ConsistencyError unless residual is a^2 - radicand b^2 modulo
-    _RESIDUAL_MODULUS."""
-    m = _RESIDUAL_MODULUS
-    a_mod, b_mod = a % m, b % m
-    if (a_mod * a_mod - radicand * b_mod * b_mod - residual) % m:
-        raise ConsistencyError(
-            f"residual handed over for a {b.bit_length()}-bit denominator at sqrt({radicand}) "
-            f"is not a^2 - {radicand} b^2")
 
 
 @dataclass(frozen=True)
@@ -277,21 +263,13 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     require_int("digits", digits, 1)
     scale = 10 ** digits
     scaled = k * scale * scale
-    for index, num, den, residual in _convergents(k, h, method, scale.bit_length()):
+    for index, num, den in _convergents(k, h, method, scale.bit_length()):
         # a / b = num / (h den) in lowest terms (see _convergents)
         common = gcd(num % h, h)
-        a, b = num // common, h // common * den
-        shift = _shared_twos(a, b)
-        a, b = a >> shift, b >> shift
+        a, b = _strip_twos(num // common, h // common * den)
         out = _certify(a, b, k, h, digits, scale, scaled)
-        if out is None:
-            continue
-        if residual is not None:
-            _check_residual(num, den, h * k, residual)
-            # h a^2 - k b^2 = h (num^2 - h k den^2) / (common 2^shift)^2
-            residual = h * residual // (common * common) >> 2 * shift
-        bound = _coprime_error_bound(a, b, k, h, residual)
-        return ApproxResult(out, index, method, bound, k, h)
+        if out is not None:
+            return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h), k, h)
     raise AssertionError("convergent stream is infinite")
 
 

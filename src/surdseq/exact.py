@@ -54,11 +54,13 @@ def cmp_to_root(q: Rational | int, k: int, h: int = 1) -> int:
 
     Returns -1, 0 or +1 for q below, equal to or above the root.
     Since both sides are nonnegative, squaring preserves the order and
-    the comparison reduces to num(q)^2 * h versus k * den(q)^2.
+    the comparison reduces to num(q)^2 * h versus k * den(q)^2.  q must
+    be an int or a Fraction: a float would enter as its binary value.
     """
+    if not isinstance(q, (int, Fraction)):
+        raise ValueError(f"q must be an int or a Fraction, got {q!r}")
     require_int("k", k, 0)
     require_int("h", h, 1)
-    q = Fraction(q)
     if q < 0:
         raise ValueError(f"cmp_to_root expects a nonnegative rational, got {q}")
     lhs = q.numerator * q.numerator * h
@@ -97,6 +99,7 @@ def _decimal(n: int, width: int) -> str:
 def decimal_str(n: int) -> str:
     """str(n), formatted by _decimal, so it works under any int->str cap
     and costs less than str() on a long n."""
+    require_int("n", n)
     magnitude = abs(n)
     # 0.30103 > log10(2), so this is never below the digit count
     width = magnitude.bit_length() * 30103 // 10 ** 5 + 1

@@ -44,6 +44,11 @@ def binomial_part(d: int, e: int, odd: int) -> int:
     """The rational part (odd = 0) or the sqrt(d) coefficient (odd = 1)
     of (1 + sqrt(d))^e, summed term by term as sum C(e, 2i + odd) d^i.
     No surd powering: this is the independent route to surd_pow(1, 1, d, e)."""
+    require_int("d", d)
+    require_int("e", e, 0)
+    require_int("odd", odd, 0)
+    if odd > 1:
+        raise ValueError(f"odd must be 0 or 1, got {odd}")
     return sum(comb(e, 2 * i + odd) * d ** i for i in range((e - odd) // 2 + 1))
 
 

@@ -13,7 +13,7 @@ from surdseq.approx import (
     cf_convergents,
     floor_root_scaled,
 )
-from surdseq.exact import cmp_to_root, isqrt, perfect_square_root
+from surdseq.exact import cmp_to_root, decimal_str, isqrt, perfect_square_root
 from surdseq.identities import (
     addition_jump,
     fast_term,
@@ -33,7 +33,7 @@ from surdseq.newton import (
     squared_shortcut,
 )
 from surdseq.products import cd_closed_form, cd_run, partial_product, product_limit_gap
-from surdseq.quad import QuadSurd, root_of, surd_pow, surd_square
+from surdseq.quad import QuadSurd, binomial_part, root_of, surd_pow, surd_square
 from surdseq.sequences import (
     Family,
     SeqSpec,
@@ -94,6 +94,7 @@ INT_ARGS = [
     arg(cmp_to_root, dict(q=Fraction(3, 2), k=2, h=1), "h", 1),
     arg(isqrt, dict(n=10), "n", 0),
     arg(perfect_square_root, dict(n=9), "n"),
+    arg(decimal_str, dict(n=-120), "n"),
     arg(addition_jump, dict(k=2, m=2, n=3), "k", 2),
     arg(addition_jump, dict(k=2, m=2, n=3), "m", 1),
     arg(addition_jump, dict(k=2, m=2, n=3), "n", 0),
@@ -146,6 +147,9 @@ INT_ARGS = [
     arg(surd_pow, dict(p=1, q=1, d=2, e=3), "q"),
     arg(surd_pow, dict(p=1, q=1, d=2, e=3), "d"),
     arg(surd_pow, dict(p=1, q=1, d=2, e=3), "e", 0),
+    arg(binomial_part, dict(d=2, e=3, odd=1), "d"),
+    arg(binomial_part, dict(d=2, e=3, odd=1), "e", 0),
+    arg(binomial_part, dict(d=2, e=3, odd=1), "odd", 0),
     arg(SeqSpec, dict(family=Family.AB, k=2), "k", 1, case="ab"),
     arg(SeqSpec, dict(family=Family.NEWTON, k=3), "k", 2, case="newton"),
     arg(SeqSpec, dict(family=Family.PRODUCT, k=3), "k", 2, label="r"),
@@ -230,10 +234,32 @@ LEAKS = {
     "run_suite-float-k_max": ("k_max", lambda: run_suite("newton", 2, 3.0, 4)),
     "cd_run-float-r": ("r", lambda: cd_run(2.5, 3)),
     "surd_pow-float-e": ("e", lambda: surd_pow(1, 1, 2, 3.0)),
+    "decimal_str-float-n": ("n", lambda: decimal_str(2.0)),
+    "binomial_part-float-d": ("d", lambda: binomial_part(2.0, 3, 0)),
 }
 
 
 @pytest.mark.parametrize("label,call", LEAKS.values(), ids=LEAKS.keys())
 def test_former_float_leaks_are_value_errors(label, call):
     with pytest.raises(ValueError, match=re.escape(f"{label} must be an int")):
+        call()
+
+
+# arguments the int rule does not cover, which their own rules refuse:
+# cmp_to_root's q is a rational (an int or a Fraction, never a float's
+# binary value), and binomial_part's odd picks one of two parts
+REFUSALS = {
+    "cmp_to_root-float-q-below": ("q must be an int or a Fraction, got 0.1",
+                                  lambda: cmp_to_root(0.1, 1)),
+    "cmp_to_root-float-q-above": ("q must be an int or a Fraction, got 1.5",
+                                  lambda: cmp_to_root(1.5, 2)),
+    "cmp_to_root-str-q": ("q must be an int or a Fraction, got '1/2'",
+                          lambda: cmp_to_root("1/2", 1)),
+    "binomial_part-odd-2": ("odd must be 0 or 1, got 2", lambda: binomial_part(2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("message,call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_arguments_are_value_errors(message, call):
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
