@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from decimal import localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 from typing import Iterator, Sequence
 
-from .exact import ConsistencyError, _decimal, decimal_str, isqrt, perfect_square_root, require_int
+from .exact import (
+    _EXACT, ConsistencyError, _decimal, _to_decimal, _use_decimal, decimal_str, isqrt,
+    perfect_square_root, require_int,
+)
 from .quad import surd_square
 
 
@@ -55,16 +59,43 @@ def _strip_twos(a: int, b: int) -> tuple[int, int]:
     return a >> shift, b >> shift
 
 
-def _certify(a: int, b: int, k: int, h: int, digits: int, scale: int, scaled: int) -> str | None:
-    """certify_digits on checked input, given scale = 10^digits and
-    scaled = k 10^(2 digits), both computed once by the caller.
+def _root_floor(t, h, scaled):
+    """floor(sqrt(scaled / h)) if it is t - 1, t or t + 1, else None;
+    t, h and scaled are all ints or all Decimal integers."""
+    square = t * t
+    if square * h > scaled:
+        square -= 2 * t - 1
+        t -= 1
+        if square * h > scaled:
+            return None
+    else:
+        square += 2 * t + 1
+        if square * h <= scaled:
+            t += 1
+            if (square + 2 * t + 1) * h <= scaled:
+                return None
+    return t
+
+
+def _scales(k: int, digits: int) -> tuple[int, int | None]:
+    """scale = 10^digits and scaled = k scale^2, computed once per digit
+    count for _certify; scaled is None from _DECIMAL_CUTOFF digits on,
+    which sends _certify to _certify_decimal."""
+    scale = 10 ** digits
+    return scale, None if _use_decimal(digits) else k * scale * scale
+
+
+def _certify(a: int, b: int, k: int, h: int, digits: int, scale: int,
+             scaled: int | None) -> str | None:
+    """certify_digits on checked input, given scale and scaled from _scales.
 
     The proposal t comes from a and b cut down, when they are wider,
     to the quotient's width plus _GUARD_BITS, which moves it by less
     than one from the exact quotient q = floor(scale a / b).  One
     squaring then finds the root's floor among t - 1, t, t + 1 (or
     proves it lies elsewhere, so q cannot match), and a product check
-    confirms it is q.
+    confirms it is q.  From _DECIMAL_CUTOFF digits on, _certify_decimal
+    takes these steps on Decimal integers.
 
     A pair too narrow to come within 10^-digits of the root is turned
     away first, on bit lengths: with r = h a^2 - k b^2,
@@ -78,21 +109,46 @@ def _certify(a: int, b: int, k: int, h: int, digits: int, scale: int, scaled: in
         return None
     shift = (b.bit_length() - scale.bit_length()
              - max(a.bit_length() - b.bit_length(), 0) - _GUARD_BITS)
+    if scaled is None:
+        return _certify_decimal(a, b, k, h, digits, shift)
     t = scale * (a >> shift) // (b >> shift) if shift > 0 else scale * a // b
-    square = t * t
-    if square * h > scaled:
-        square -= 2 * t - 1
-        t -= 1
-        if square * h > scaled:
-            return None
-    else:
-        square += 2 * t + 1
-        if square * h <= scaled:
-            t += 1
-            if (square + 2 * t + 1) * h <= scaled:
-                return None
+    t = _root_floor(t, h, scaled)
+    if t is None:
+        return None
     low = t * b
     return _format_digits(t, digits, scale) if low <= scale * a < low + b else None
+
+
+def _certify_decimal(a: int, b: int, k: int, h: int, digits: int, shift: int) -> str | None:
+    """_certify's proposal, squaring and product check on Decimal
+    integers, where libmpdec divides and multiplies in subquadratic time.
+
+    Only the pair the proposal uses is converted.  When it is cut,
+    a' = a >> shift and b' = b >> shift give a' / (b' + 1) < a / b <
+    (a' + 1) / b', so t (b' + 1) <= 10^digits a' and
+    10^digits (a' + 1) <= (t + 1) b' prove t = floor(10^digits a / b);
+    the full a and b are converted only when that does not decide.
+    """
+    with localcontext(_EXACT):
+        if shift > 0:
+            num, den = _to_decimal(a >> shift), _to_decimal(b >> shift)
+        else:
+            num, den = _to_decimal(a), _to_decimal(b)
+        top = num.scaleb(digits)
+        proposal = top // den
+        t = _root_floor(proposal, _to_decimal(h), _to_decimal(k).scaleb(2 * digits))
+        if t is None:
+            return None
+        if shift <= 0:
+            if t != proposal:  # the uncut proposal is the exact quotient
+                return None
+        elif not (t * (den + 1) <= top and (num + 1).scaleb(digits) <= (t + 1) * den):
+            den = _to_decimal(b)
+            low = t * den
+            if not low <= _to_decimal(a).scaleb(digits) < low + den:
+                return None
+        raw = format(t, "f").rjust(digits + 1, "0")
+    return raw[:-digits] + "." + raw[-digits:]
 
 
 def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
@@ -107,9 +163,8 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
-    scale = 10 ** digits
     a, b = _strip_twos(a, b)
-    return _certify(a, b, k, h, digits, scale, k * scale * scale)
+    return _certify(a, b, k, h, digits, *_scales(k, digits))
 
 
 def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int]]:
@@ -219,16 +274,25 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
-    # Cleared of fractions that is N / M with N = |h a^2 - k b^2| g and
-    # M = b (a h g + p b), both of degree two in (a, b).
     guard = 10 ** 8
     radicand = k * h * guard * guard
     p = isqrt(radicand)
+    if p * p == radicand:
+        # k h = s^2 is a square, which covers every zero residual.  Then L
+        # is the root s / h itself, and the bound is |y| / (h b) with
+        # y = h a - s b, since h (h a^2 - k b^2) = y (h a + s b).  With a
+        # and b coprime, gcd(y, b) = gcd(h a, b) = gcd(h, b), so gcd(y, h b)
+        # divides gcd(y, h) gcd(h, b), and remainders by that give it.
+        # y = 0 gives 0 / 1, as h a = s b makes b divide h.
+        y = abs(h * a - p // guard * b)
+        den = h * b
+        shared = gcd(y % h, h) * gcd(b % h, h)
+        shared = gcd(y % shared, den % shared, shared)
+        return _coprime_fraction(y // shared, den // shared)
+    # Cleared of fractions the bound is N / M with N = |h a^2 - k b^2| g
+    # and M = b (a h g + p b), both of degree two in (a, b).
     num = abs(h * a * a - k * b * b) * guard
     den = b * (a * h * guard + p * b)
-    if p * p == radicand:
-        # k h is a square, which covers every zero residual
-        return Fraction(num, den)
     # With a and b coprime, gcd(N, M) divides the small s = c h g, where
     # c = k h g^2 - p^2 <= 2p.  Put r = h a^2 - k b^2 and x = a h g + p b;
     # then c b^2 = x (a h g - p b) - r h g^2.  Let q^j divide N and M.
@@ -261,8 +325,7 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
-    scale = 10 ** digits
-    scaled = k * scale * scale
+    scale, scaled = _scales(k, digits)
     for index, num, den in _convergents(k, h, method, scale.bit_length()):
         # a / b = num / (h den) in lowest terms (see _convergents)
         common = gcd(num % h, h)

@@ -5,13 +5,21 @@ root comparisons go through cross-multiplied integer inequalities, and
 rationals are plain ``fractions.Fraction`` values, which already keep
 themselves reduced with a positive denominator.  Decimal text of any
 length goes through decimal_str, which works under any int->str cap.
+From _DECIMAL_CUTOFF digits on, decimal_str and the digit certificate
+in approx work on decimal.Decimal integers, which libmpdec divides,
+multiplies and prints in subquadratic time: _to_decimal converts an
+int exactly, and every Decimal operation runs under _EXACT, a context
+entered through decimal.localcontext in which any rounding raises.
 require_int is the one argument rule: every public entry point checks
 its int arguments through it, so a float or a Fraction where an exact
 int belongs is a ValueError naming the parameter, never a float result.
 """
 from __future__ import annotations
 
+import decimal
 import math
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 Rational = Fraction
@@ -73,12 +81,73 @@ def cmp_to_root(q: Rational | int, k: int, h: int = 1) -> int:
 _STR_PIECE = 640
 
 
+# Every Decimal operation runs under this context, entered through
+# decimal.localcontext: any rounding raises, so a Decimal integer here is
+# as exact as an int.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+# Width in decimal digits from which libmpdec's subquadratic // and
+# multiplication, with the conversions to Decimal, beat int // and
+# str() on whole approximate calls: about 2.5e4 digits on CPython 3.10
+# and 3.11, where both are quadratic, and 5.5e4 from 3.12 on, where
+# _pylong divides and formats wide ints by divide and conquer.  None
+# when decimal is the pure-Python _pydecimal, which has no such edge.
+try:
+    from _decimal import Decimal as _LibmpdecDecimal
+except ImportError:
+    _LibmpdecDecimal = None
+if Decimal is _LibmpdecDecimal:
+    _DECIMAL_CUTOFF: int | None = 25_000 if sys.version_info < (3, 12) else 55_000
+else:
+    _DECIMAL_CUTOFF = None
+
+
+def _use_decimal(width: int) -> bool:
+    """Whether a computation `width` decimal digits wide runs on Decimal."""
+    return _DECIMAL_CUTOFF is not None and width >= _DECIMAL_CUTOFF
+
+
+# Below this many bits Decimal(n) converts directly.
+_SPLIT_BITS = 128
+
+
+def _to_decimal(n: int) -> Decimal:
+    """n >= 0 as an equal Decimal integer, by binary splitting on powers
+    of two, as int_to_decimal in CPython's Lib/_pylong.py does."""
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        if w not in powers:
+            if w <= _SPLIT_BITS:
+                powers[w] = Decimal(2) ** w
+            elif w - 1 in powers:
+                powers[w] = powers[w - 1] + powers[w - 1]
+            else:
+                low = w >> 1
+                powers[w] = power(low) * power(w - low)
+        return powers[w]
+
+    def convert(n: int, w: int) -> Decimal:
+        if w <= _SPLIT_BITS:
+            return Decimal(n)
+        low = w >> 1
+        high = n >> low
+        return convert(n - (high << low), low) + convert(high, w - low) * power(low)
+
+    with decimal.localcontext(_EXACT):
+        return convert(n, n.bit_length())
+
+
 def _decimal(n: int, width: int) -> str:
     """n >= 0 in decimal, zero-padded to `width` digits (n < 10^width).
 
-    Divide and conquer on powers of ten, so str() only ever formats
-    pieces of at most _STR_PIECE digits.
+    From _DECIMAL_CUTOFF digits on, Decimal formats it.  Below, divide
+    and conquer on powers of ten, so str() only ever formats pieces of
+    at most _STR_PIECE digits.
     """
+    if _use_decimal(width):
+        return format(_to_decimal(n), "f").rjust(width, "0")
     pieces = []
     powers: dict[int, int] = {}
     pending = [(n, width)]

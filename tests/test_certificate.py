@@ -8,17 +8,26 @@ must agree exactly with the direct formulas kept here as references:
 one long division, two squarings, str(), and Fraction arithmetic.  The
 reference approximate walks the paper's own orbits through their public
 functions, or Fraction arithmetic where those do not reach, not the
-engines approximate runs.
+engines approximate runs.  The certificate and the formatting run on
+ints below exact._DECIMAL_CUTOFF digits and on Decimal integers from it
+on; decimal_cutoff moves the cutoff, so both paths meet the references
+at any width.
 """
+import decimal
+import os
+import subprocess
 import sys
+from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from surdseq import approx, exact
 from surdseq.approx import (
     Method,
     _convergents,
@@ -28,9 +37,31 @@ from surdseq.approx import (
     certify_digits,
     floor_root_scaled,
 )
+from surdseq.exact import decimal_str
 from surdseq.newton import newton_run
 from surdseq.quad import QuadSurd
 from surdseq.sequences import Family, SeqSpec, coupled_stream
+
+# None keeps every certificate and format on ints, 0 puts them on Decimal
+CUTOFFS = (None, 0)
+
+
+@contextmanager
+def decimal_cutoff(value):
+    """Run the block with exact._DECIMAL_CUTOFF set to value."""
+    saved = exact._DECIMAL_CUTOFF
+    exact._DECIMAL_CUTOFF = value
+    try:
+        yield
+    finally:
+        exact._DECIMAL_CUTOFF = saved
+
+
+def truth_digits(k, h, digits):
+    """floor_root_scaled as a digit string, formatted on ints."""
+    with decimal_cutoff(None):
+        raw = decimal_str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
+    return raw[:-digits] + "." + raw[-digits:]
 
 
 # _convergents' scale_bits at one digit: LINEAR yields from its first
@@ -147,7 +178,35 @@ def near_root_pairs(draw):
 @given(near_root_pairs())
 def test_certify_matches_reference(case):
     a, b, k, h, digits = case
-    assert certify_digits(a, b, k, h, digits) == reference_certify(a, b, k, h, digits)
+    want = reference_certify(a, b, k, h, digits)
+    for cutoff in CUTOFFS:
+        with decimal_cutoff(cutoff):
+            assert certify_digits(a, b, k, h, digits) == want, cutoff
+
+
+@st.composite
+def quotient_edge_pairs(draw):
+    """(a, b, k, h, digits) with 10^digits a / b within a few 1 / b of
+    the root's floor T = floor(10^digits sqrt(k/h)) or of T + 1, and b
+    wide enough to be cut: there floor(10^digits a / b) and T part, and
+    the cut pair alone cannot tell which side of the integer it is on."""
+    k = draw(st.integers(min_value=2, max_value=10 ** 7))
+    h = draw(st.integers(min_value=1, max_value=10 ** 3))
+    digits = draw(st.integers(min_value=1, max_value=12))
+    scale = 10 ** digits
+    edge = isqrt(k * h * scale * scale) // h + draw(st.integers(min_value=0, max_value=1))
+    b = draw(st.integers(min_value=scale << 40, max_value=scale << 100))
+    a = max(edge * b // scale + draw(st.integers(min_value=-2, max_value=2)), 0)
+    return a, b, k, h, digits
+
+
+@given(quotient_edge_pairs())
+def test_certify_at_quotient_edges(case):
+    a, b, k, h, digits = case
+    want = reference_certify(a, b, k, h, digits)
+    for cutoff in CUTOFFS:
+        with decimal_cutoff(cutoff):
+            assert certify_digits(a, b, k, h, digits) == want, cutoff
 
 
 @given(near_root_pairs())
@@ -258,7 +317,10 @@ def cf_pairs(k, h, count):
 def test_certify_on_best_approximations(k, h):
     for a, b in cf_pairs(k, h, 24):
         for digits in range(1, 2 * len(str(b)) + 4):
-            assert certify_digits(a, b, k, h, digits) == reference_certify(a, b, k, h, digits)
+            want = reference_certify(a, b, k, h, digits)
+            for cutoff in CUTOFFS:
+                with decimal_cutoff(cutoff):
+                    assert certify_digits(a, b, k, h, digits) == want, cutoff
 
 
 GRID_K = (1, 2, 3, 5, 9, 11, 99, 1000)
@@ -328,10 +390,99 @@ def test_digits_beyond_default_int_str_cap():
         truth = str(floor_root_scaled(2, 1, 5000))
         sys.set_int_max_str_digits(4300)
         for method in (Method.NEWTON, Method.JUMP):
-            result = approximate(2, 1, 5000, method)
-            assert result.digits == truth[:1] + "." + truth[1:]
+            for cutoff in CUTOFFS:
+                with decimal_cutoff(cutoff):
+                    result = approximate(2, 1, 5000, method)
+                assert result.digits == truth[:1] + "." + truth[1:], (method, cutoff)
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("k, h, digits, method", [
+    (2, 1, 50_000, Method.NEWTON), (7, 3, 50_000, Method.NEWTON), (13, 1, 50_000, Method.JUMP)])
+def test_decimal_path_above_the_transform_threshold(k, h, digits, method):
+    # past about 2 10^4 digits libmpdec multiplies by number-theoretic
+    # transform; both paths must give the same digits, n_used and error
+    # bound under the interpreter's default int->str cap
+    results = []
+    for cutoff in CUTOFFS:
+        with decimal_cutoff(cutoff):
+            results.append(approximate(k, h, digits, method))
+    assert results[0].digits == truth_digits(k, h, digits)
+    assert results[1] == results[0]
+    assert same_fraction(results[1].error_bound, results[0].error_bound)
+
+
+@pytest.mark.parametrize("k, h", [(2, 7), (5, 10 ** 4), (500, 3), (999, 1)])
+def test_decimal_path_below_one_and_past_ten(k, h):
+    # roots below 1 print a "0." prefix (two zeros after the point at
+    # k / h = 5 10^-4); k / h >= 100 puts several digits before it.
+    # JUMP overshoots far on a large k h (see TIME_CAPS).
+    for method in (Method.NEWTON, Method.JUMP) if k * h <= 10 ** 4 else (Method.NEWTON,):
+        for digits in (1, 7, 300):
+            results = []
+            for cutoff in CUTOFFS:
+                with decimal_cutoff(cutoff):
+                    results.append(approximate(k, h, digits, method))
+            assert results[0].digits == truth_digits(k, h, digits), (method, digits)
+            assert results[1] == results[0], (method, digits)
+
+
+def test_decimal_certificate_converts_the_full_pair_when_the_cut_one_cannot_decide(monkeypatch):
+    # sqrt(10^6 + 3) = 1000.0014999989...: at six places 10^6 a / b lies
+    # so close to an integer that the cut pair's interval test leaves
+    # floor(10^6 a / b) open, so the full a and b are converted
+    a, b, k, digits = 5135722962681111, 5135715259114, 10 ** 6 + 3, 6
+    assert (a, b) in cf_pairs(k, 1, 24)
+    converted = []
+    to_decimal = approx._to_decimal
+
+    def spy(n):
+        converted.append(n)
+        return to_decimal(n)
+
+    monkeypatch.setattr(approx, "_to_decimal", spy)
+    with decimal_cutoff(None):
+        want = certify_digits(a, b, k, 1, digits)
+    assert want == reference_certify(a, b, k, 1, digits) is not None
+    assert converted == []
+    with decimal_cutoff(0):
+        assert certify_digits(a, b, k, 1, digits) == want
+    assert a in converted and b in converted
+
+
+def test_decimal_path_keeps_the_callers_context():
+    # the exact context is entered through localcontext only, so the
+    # thread's context neither changes nor shapes the result
+    with decimal_cutoff(None):
+        want = approximate(2, 3, 500, Method.NEWTON)
+    context = decimal.getcontext()
+    before = repr(context)
+    with decimal_cutoff(0):
+        assert approximate(2, 3, 500, Method.NEWTON) == want
+        assert decimal.getcontext() is context and repr(context) == before
+        with decimal.localcontext() as narrow:
+            narrow.prec = 5
+            assert approximate(2, 3, 500, Method.NEWTON) == want
+            assert decimal.getcontext() is narrow and narrow.prec == 5
+
+
+def test_without_libmpdec_the_cutoff_is_off():
+    # with _decimal blocked, decimal is the pure-Python _pydecimal and
+    # every width stays on ints
+    code = ("import sys\n"
+            "sys.modules['_decimal'] = None\n"
+            "import decimal, _pydecimal\n"
+            "from surdseq import Method, approximate, exact\n"
+            "print(decimal.Decimal is _pydecimal.Decimal, exact._DECIMAL_CUTOFF)\n"
+            "print(approximate(2, 1, 30000, Method.NEWTON).digits)\n")
+    src = str(Path(exact.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    pure, cutoff, digits = done.stdout.split()
+    assert (pure, cutoff) == ("True", "None")
+    assert digits == approximate(2, 1, 30000, Method.NEWTON).digits
 
 
 def radicands():
@@ -359,14 +510,16 @@ def test_engines_match_floor_root_scaled(k, h, digits):
             continue
         if cap is not None and k * h > cap:
             continue
-        got = approximate(k, h, digits, method)
-        assert got.digits == truth, (method, k, h, digits)
-        if method is Method.LINEAR:
-            # the reference certifies every coupled_stream candidate, so
-            # the pairs LINEAR leaves out on its residual cannot move n_used
-            want = reference_approximate(k, h, digits, method)
-            assert got.n_used == want[1], (k, h, digits)
-            assert same_fraction(got.error_bound, want[2]), (k, h, digits)
+        for cutoff in CUTOFFS:
+            with decimal_cutoff(cutoff):
+                got = approximate(k, h, digits, method)
+            assert got.digits == truth, (method, k, h, digits, cutoff)
+            if method is Method.LINEAR:
+                # the reference certifies every coupled_stream candidate, so
+                # the pairs LINEAR leaves out on its residual cannot move n_used
+                want = reference_approximate(k, h, digits, method)
+                assert got.n_used == want[1], (k, h, digits)
+                assert same_fraction(got.error_bound, want[2]), (k, h, digits)
 
 
 @pytest.mark.parametrize("k, h", [(1, 1), (2, 1), (7, 1), (9, 1), (10 ** 4, 1),

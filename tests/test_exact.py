@@ -1,10 +1,22 @@
-"""Integer kernel: square roots, square detection, root comparison."""
+"""Integer kernel: square roots, square detection, root comparison,
+and decimal text on ints and on Decimal integers."""
+import decimal
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from surdseq.exact import cmp_to_root, isqrt, perfect_square_root
+from surdseq import exact
+from surdseq.exact import _decimal, _to_decimal, cmp_to_root, decimal_str, isqrt, perfect_square_root
+
+# ints across the str() piece size and powers of ten, plus random ones
+# short enough for str() under the default int->str cap
+_rng = random.Random(16)
+DECIMAL_CASES = ([0, 1, 9, 10, 2 ** 128 - 1, 2 ** 128, 2 ** 129 + 1, 10 ** 640 - 1, 10 ** 640,
+                  10 ** 641 + 7, 3 ** 2500, 2 ** 14000 - 1]
+                 + [_rng.getrandbits(_rng.randint(1, 14000)) for _ in range(30)])
 
 
 def test_isqrt_known_values():
@@ -74,3 +86,22 @@ def test_cmp_to_root_rejects_bad_input():
 def test_cmp_to_root_matches_squaring(q, k, h):
     expected = (q * q * h > k) - (q * q * h < k)
     assert cmp_to_root(q, k, h) == expected
+
+
+def test_to_decimal_is_exact_and_keeps_the_callers_context():
+    context = decimal.getcontext()
+    before = repr(context)
+    for n in DECIMAL_CASES:
+        converted = _to_decimal(n)
+        assert converted == Decimal(n) and converted.as_tuple().exponent == 0
+    assert decimal.getcontext() is context and repr(context) == before
+
+
+@pytest.mark.parametrize("cutoff", [None, 0])
+def test_decimal_text_on_ints_and_on_decimal(monkeypatch, cutoff):
+    # None formats by divide and conquer with str(), 0 through Decimal
+    monkeypatch.setattr(exact, "_DECIMAL_CUTOFF", cutoff)
+    for n in DECIMAL_CASES:
+        text = str(n)
+        assert decimal_str(n) == text and decimal_str(-n) == ("-" + text if n else "0")
+        assert _decimal(n, len(text) + 3) == "000" + text
