@@ -79,8 +79,8 @@ def _root_floor(t, h, scaled):
 
 def _scales(k: int, digits: int) -> tuple[int, int | None]:
     """scale = 10^digits and scaled = k scale^2, computed once per digit
-    count for _certify; scaled is None from _DECIMAL_CUTOFF digits on,
-    which sends _certify to _certify_decimal."""
+    count for _certify.  Only _certify's int path reads scaled, so from
+    _DECIMAL_CUTOFF digits on it is not computed and left None."""
     scale = 10 ** digits
     return scale, None if _use_decimal(digits) else k * scale * scale
 
@@ -109,7 +109,7 @@ def _certify(a: int, b: int, k: int, h: int, digits: int, scale: int,
         return None
     shift = (b.bit_length() - scale.bit_length()
              - max(a.bit_length() - b.bit_length(), 0) - _GUARD_BITS)
-    if scaled is None:
+    if _use_decimal(digits):
         return _certify_decimal(a, b, k, h, digits, shift)
     t = scale * (a >> shift) // (b >> shift) if shift > 0 else scale * a // b
     t = _root_floor(t, h, scaled)

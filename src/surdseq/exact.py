@@ -91,8 +91,10 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 # multiplication, with the conversions to Decimal, beat int // and
 # str() on whole approximate calls: about 2.5e4 digits on CPython 3.10
 # and 3.11, where both are quadratic, and 5.5e4 from 3.12 on, where
-# _pylong divides and formats wide ints by divide and conquer.  None
-# when decimal is the pure-Python _pydecimal, which has no such edge.
+# _pylong divides and formats wide ints by divide and conquer.
+# decimal_str alone crosses over at 2-2.5e4 digits on 3.11 and 3-5e4
+# on 3.12 and 3.13, so the same constant serves _decimal.  None when
+# decimal is the pure-Python _pydecimal, which has no such edge.
 try:
     from _decimal import Decimal as _LibmpdecDecimal
 except ImportError:

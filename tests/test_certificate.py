@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from surdseq import approx, exact
 from surdseq.approx import (
@@ -413,21 +413,6 @@ def test_decimal_path_above_the_transform_threshold(k, h, digits, method):
     assert same_fraction(results[1].error_bound, results[0].error_bound)
 
 
-@pytest.mark.parametrize("k, h", [(2, 7), (5, 10 ** 4), (500, 3), (999, 1)])
-def test_decimal_path_below_one_and_past_ten(k, h):
-    # roots below 1 print a "0." prefix (two zeros after the point at
-    # k / h = 5 10^-4); k / h >= 100 puts several digits before it.
-    # JUMP overshoots far on a large k h (see TIME_CAPS).
-    for method in (Method.NEWTON, Method.JUMP) if k * h <= 10 ** 4 else (Method.NEWTON,):
-        for digits in (1, 7, 300):
-            results = []
-            for cutoff in CUTOFFS:
-                with decimal_cutoff(cutoff):
-                    results.append(approximate(k, h, digits, method))
-            assert results[0].digits == truth_digits(k, h, digits), (method, digits)
-            assert results[1] == results[0], (method, digits)
-
-
 def test_decimal_certificate_converts_the_full_pair_when_the_cut_one_cannot_decide(monkeypatch):
     # sqrt(10^6 + 3) = 1000.0014999989...: at six places 10^6 a / b lies
     # so close to an integer that the cut pair's interval test leaves
@@ -498,9 +483,16 @@ TIME_CAPS = {Method.LINEAR: 10 ** 3, Method.JUMP: 10 ** 4, Method.NEWTON: None}
 
 @settings(deadline=timedelta(seconds=10))
 @given(radicands(), radicands(), st.integers(min_value=1, max_value=200))
+# roots below 1 print a "0." prefix (two zeros after the point at
+# k / h = 5 10^-4); k / h >= 100 puts several digits before it
+@example(2, 7, 300)
+@example(5, 10 ** 4, 300)
+@example(500, 3, 300)
+@example(999, 1, 300)
 def test_engines_match_floor_root_scaled(k, h, digits):
     # one domain: every engine takes every k, h >= 1, except that JUMP
-    # raises exactly when k h is a square
+    # raises exactly when k h is a square; the int and Decimal paths
+    # give the same result, error bound in the same terms included
     raw = str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
     truth = raw[:-digits] + "." + raw[-digits:]
     for method, cap in TIME_CAPS.items():
@@ -510,16 +502,20 @@ def test_engines_match_floor_root_scaled(k, h, digits):
             continue
         if cap is not None and k * h > cap:
             continue
+        results = []
         for cutoff in CUTOFFS:
             with decimal_cutoff(cutoff):
-                got = approximate(k, h, digits, method)
-            assert got.digits == truth, (method, k, h, digits, cutoff)
-            if method is Method.LINEAR:
-                # the reference certifies every coupled_stream candidate, so
-                # the pairs LINEAR leaves out on its residual cannot move n_used
-                want = reference_approximate(k, h, digits, method)
-                assert got.n_used == want[1], (k, h, digits)
-                assert same_fraction(got.error_bound, want[2]), (k, h, digits)
+                results.append(approximate(k, h, digits, method))
+        got = results[0]
+        assert got.digits == truth, (method, k, h, digits)
+        assert results[1] == got, (method, k, h, digits)
+        assert same_fraction(results[1].error_bound, got.error_bound), (method, k, h, digits)
+        if method is Method.LINEAR:
+            # the reference certifies every coupled_stream candidate, so
+            # the pairs LINEAR leaves out on its residual cannot move n_used
+            want = reference_approximate(k, h, digits, method)
+            assert got.n_used == want[1], (k, h, digits)
+            assert same_fraction(got.error_bound, want[2]), (k, h, digits)
 
 
 @pytest.mark.parametrize("k, h", [(1, 1), (2, 1), (7, 1), (9, 1), (10 ** 4, 1),
