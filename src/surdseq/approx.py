@@ -9,8 +9,9 @@ and can only agree with each other or fail loudly.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
@@ -18,8 +19,8 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from .exact import (
-    _EXACT, ConsistencyError, _decimal, _to_decimal, _use_decimal, decimal_str, isqrt,
-    perfect_square_root, require_int,
+    _EXACT, ConsistencyError, _to_decimal, _use_decimal, decimal_str, isqrt, perfect_square_root,
+    require_int,
 )
 from .quad import surd_square
 
@@ -40,12 +41,6 @@ def floor_root_scaled(k: int, h: int, digits: int) -> int:
     require_int("h", h, 1)
     require_int("digits", digits, 0)
     return isqrt(k * h * 10 ** (2 * digits)) // h
-
-
-def _format_digits(t: int, digits: int, scale: int) -> str:
-    """t / scale as a decimal string with `digits` places; scale = 10^digits."""
-    whole, frac = divmod(t, scale)
-    return decimal_str(whole) + "." + _decimal(frac, digits)
 
 
 # Guard bits kept below the quotient's width when a and b are cut down
@@ -77,77 +72,64 @@ def _root_floor(t, h, scaled):
     return t
 
 
-def _scales(k: int, digits: int) -> tuple[int, int | None]:
-    """scale = 10^digits and scaled = k scale^2, computed once per digit
-    count for _certify.  Only _certify's int path reads scaled, so from
-    _DECIMAL_CUTOFF digits on it is not computed and left None."""
+def _scales(k: int, digits: int) -> tuple:
+    """The context _certify runs under, then its arguments that depend
+    only on the digit count: the bit length of scale = 10^digits, scale
+    and scaled = k scale^2 in the number type the certificate runs on,
+    and convert, which turns an int into that type.  Below
+    _DECIMAL_CUTOFF digits the type is int, which needs no context.
+    From it on it is the libmpdec Decimal integer, exact under _EXACT,
+    and scale and scaled keep their power of ten in the exponent."""
     scale = 10 ** digits
-    return scale, None if _use_decimal(digits) else k * scale * scale
+    if not _use_decimal(digits):
+        return nullcontext(), scale.bit_length(), scale, k * scale * scale, int
+    with localcontext(_EXACT):
+        scales = Decimal(1).scaleb(digits), _to_decimal(k).scaleb(2 * digits)
+    return localcontext(_EXACT), scale.bit_length(), *scales, _to_decimal
 
 
-def _certify(a: int, b: int, k: int, h: int, digits: int, scale: int,
-             scaled: int | None) -> str | None:
-    """certify_digits on checked input, given scale and scaled from _scales.
-
-    The proposal t comes from a and b cut down, when they are wider,
-    to the quotient's width plus _GUARD_BITS, which moves it by less
-    than one from the exact quotient q = floor(scale a / b).  One
-    squaring then finds the root's floor among t - 1, t, t + 1 (or
-    proves it lies elsewhere, so q cannot match), and a product check
-    confirms it is q.  From _DECIMAL_CUTOFF digits on, _certify_decimal
-    takes these steps on Decimal integers.
+def _certify(a: int, b: int, k: int, h: int, digits: int, scale_bits: int, scale, scaled,
+             convert) -> str | None:
+    """certify_digits on checked input, given the rest from _scales and
+    run under its context; the same steps serve either number type.
 
     A pair too narrow to come within 10^-digits of the root is turned
     away first, on bit lengths: with r = h a^2 - k b^2,
     |a/b - root| = |r| / (h b (a + b root)), and a + b root < 2a + b
     whenever the gap is below 1, so h b (2a + b) < 10^digits puts the
     pair too far away unless r = 0.  Computing r is cheap for such a pair.
+
+    The proposal t comes from a and b cut down, when they are wider,
+    to the quotient's width plus _GUARD_BITS, which moves it by less
+    than one from the exact quotient q = floor(scale a / b).  One
+    squaring then finds the root's floor among t - 1, t, t + 1 (or
+    proves it lies elsewhere, so q cannot match).  Uncut, the proposal
+    is q itself.  Cut, a' = a >> shift and b' = b >> shift give
+    a' / (b' + 1) < a / b < (a' + 1) / b', so t (b' + 1) <= scale a'
+    and scale (a' + 1) <= (t + 1) b' prove t = q; only when that does
+    not decide is the full pair converted and q checked on it.
     """
     narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
-              < scale.bit_length())
+              < scale_bits)
     if narrow and h * a * a != k * b * b:
         return None
-    shift = (b.bit_length() - scale.bit_length()
-             - max(a.bit_length() - b.bit_length(), 0) - _GUARD_BITS)
-    if _use_decimal(digits):
-        return _certify_decimal(a, b, k, h, digits, shift)
-    t = scale * (a >> shift) // (b >> shift) if shift > 0 else scale * a // b
-    t = _root_floor(t, h, scaled)
+    shift = max(b.bit_length() - scale_bits - max(a.bit_length() - b.bit_length(), 0)
+                - _GUARD_BITS, 0)
+    num, den = convert(a >> shift), convert(b >> shift)
+    top = scale * num
+    proposal = top // den
+    t = _root_floor(proposal, convert(h), scaled)
     if t is None:
         return None
-    low = t * b
-    return _format_digits(t, digits, scale) if low <= scale * a < low + b else None
-
-
-def _certify_decimal(a: int, b: int, k: int, h: int, digits: int, shift: int) -> str | None:
-    """_certify's proposal, squaring and product check on Decimal
-    integers, where libmpdec divides and multiplies in subquadratic time.
-
-    Only the pair the proposal uses is converted.  When it is cut,
-    a' = a >> shift and b' = b >> shift give a' / (b' + 1) < a / b <
-    (a' + 1) / b', so t (b' + 1) <= 10^digits a' and
-    10^digits (a' + 1) <= (t + 1) b' prove t = floor(10^digits a / b);
-    the full a and b are converted only when that does not decide.
-    """
-    with localcontext(_EXACT):
-        if shift > 0:
-            num, den = _to_decimal(a >> shift), _to_decimal(b >> shift)
-        else:
-            num, den = _to_decimal(a), _to_decimal(b)
-        top = num.scaleb(digits)
-        proposal = top // den
-        t = _root_floor(proposal, _to_decimal(h), _to_decimal(k).scaleb(2 * digits))
-        if t is None:
+    if not shift:
+        if t != proposal:
             return None
-        if shift <= 0:
-            if t != proposal:  # the uncut proposal is the exact quotient
-                return None
-        elif not (t * (den + 1) <= top and (num + 1).scaleb(digits) <= (t + 1) * den):
-            den = _to_decimal(b)
-            low = t * den
-            if not low <= _to_decimal(a).scaleb(digits) < low + den:
-                return None
-        raw = format(t, "f").rjust(digits + 1, "0")
+    elif not (t * (den + 1) <= top and scale * (num + 1) <= (t + 1) * den):
+        den = convert(b)
+        low = t * den
+        if not low <= scale * convert(a) < low + den:
+            return None
+    raw = (decimal_str(t) if convert is int else format(t, "f")).rjust(digits + 1, "0")
     return raw[:-digits] + "." + raw[-digits:]
 
 
@@ -155,8 +137,10 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     """Digit string of sqrt(k/h) truncated to `digits` places, if a/b
     is sharp enough to prove it; None otherwise.
 
-    The certificate compares t = floor(10^digits a / b) against the
-    scaled radicand on both sides, all in integers.
+    The certificate finds t = floor(10^digits sqrt(k/h)) by comparing
+    squares against the scaled radicand and proves that t is
+    floor(10^digits a / b), in ints or, for many digits, in exact
+    Decimal integers.
     """
     require_int("a", a, 0)
     require_int("b", b, 1)
@@ -164,7 +148,9 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     require_int("h", h, 1)
     require_int("digits", digits, 1)
     a, b = _strip_twos(a, b)
-    return _certify(a, b, k, h, digits, *_scales(k, digits))
+    context, *scales = _scales(k, digits)
+    with context:
+        return _certify(a, b, k, h, digits, *scales)
 
 
 def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int]]:
@@ -325,14 +311,15 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
-    scale, scaled = _scales(k, digits)
-    for index, num, den in _convergents(k, h, method, scale.bit_length()):
-        # a / b = num / (h den) in lowest terms (see _convergents)
-        common = gcd(num % h, h)
-        a, b = _strip_twos(num // common, h // common * den)
-        out = _certify(a, b, k, h, digits, scale, scaled)
-        if out is not None:
-            return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h), k, h)
+    context, *scales = _scales(k, digits)
+    with context:
+        for index, num, den in _convergents(k, h, method, scales[0]):
+            # a / b = num / (h den) in lowest terms (see _convergents)
+            common = gcd(num % h, h)
+            a, b = _strip_twos(num // common, h // common * den)
+            out = _certify(a, b, k, h, digits, *scales)
+            if out is not None:
+                return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h), k, h)
     raise AssertionError("convergent stream is infinite")
 
 

@@ -5,11 +5,12 @@ root comparisons go through cross-multiplied integer inequalities, and
 rationals are plain ``fractions.Fraction`` values, which already keep
 themselves reduced with a positive denominator.  Decimal text of any
 length goes through decimal_str, which works under any int->str cap.
-From _DECIMAL_CUTOFF digits on, decimal_str and the digit certificate
-in approx work on decimal.Decimal integers, which libmpdec divides,
-multiplies and prints in subquadratic time: _to_decimal converts an
-int exactly, and every Decimal operation runs under _EXACT, a context
-entered through decimal.localcontext in which any rounding raises.
+From _DECIMAL_CUTOFF digits on, decimal_str formats, and the one digit
+certificate in approx runs its same steps, on decimal.Decimal integers
+instead of ints, which libmpdec divides, multiplies and prints in
+subquadratic time: _to_decimal converts an int exactly, and every
+Decimal operation runs under _EXACT, a context entered through
+decimal.localcontext in which any rounding raises.
 require_int is the one argument rule: every public entry point checks
 its int arguments through it, so a float or a Fraction where an exact
 int belongs is a ValueError naming the parameter, never a float result.

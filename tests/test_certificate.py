@@ -1,17 +1,18 @@
 """The certificate and the error bound against their plain formulas.
 
-certify_digits proposes from truncated operands, turns narrow pairs
-away on bit lengths and formats by divide and conquer;
-_coprime_error_bound takes a pair in lowest terms, clears fractions and
-reduces them without a gcd on the wide numerator and denominator.  Both
-must agree exactly with the direct formulas kept here as references:
-one long division, two squarings, str(), and Fraction arithmetic.  The
-reference approximate walks the paper's own orbits through their public
-functions, or Fraction arithmetic where those do not reach, not the
-engines approximate runs.  The certificate and the formatting run on
-ints below exact._DECIMAL_CUTOFF digits and on Decimal integers from it
-on; decimal_cutoff moves the cutoff, so both paths meet the references
-at any width.
+certify_digits turns narrow pairs away on bit lengths, proposes from
+truncated operands and proves the quotient on them, falling back to the
+full pair only when they cannot decide; _coprime_error_bound takes a
+pair in lowest terms, clears fractions and reduces them without a gcd
+on the wide numerator and denominator.  Both must agree exactly with
+the direct formulas kept here as references: one long division, two
+squarings, str(), and Fraction arithmetic.  The reference approximate
+walks the paper's own orbits through their public functions, or
+Fraction arithmetic where those do not reach, not the engines
+approximate runs.  The one certificate runs on ints below
+exact._DECIMAL_CUTOFF digits and on Decimal integers from it on;
+decimal_cutoff moves the cutoff, so both number types meet the
+references at any width.
 """
 import decimal
 import os
@@ -276,7 +277,10 @@ def test_certify_formats_a_wide_whole_part():
     for b in (10 ** 40 + 1, 3 ** 200):
         root_b = isqrt(k * b * b)
         for a in (root_b - 1, root_b, root_b + 1):
-            assert certify_digits(a, b, k, 1, digits) == reference_certify(a, b, k, 1, digits)
+            want = reference_certify(a, b, k, 1, digits)
+            for cutoff in CUTOFFS:
+                with decimal_cutoff(cutoff):
+                    assert certify_digits(a, b, k, 1, digits) == want, cutoff
         assert certify_digits(root_b, b, k, 1, digits) is not None
 
 
@@ -292,7 +296,10 @@ def test_certify_when_the_cut_proposal_is_one_off(a, b, shift, quotient, proposa
     assert 10 * a // b == quotient
     assert 10 * (a >> shift) // (b >> shift) == proposal
     for k in range(20, 30):
-        assert certify_digits(a, b, k, 1, 1) == reference_certify(a, b, k, 1, 1)
+        want = reference_certify(a, b, k, 1, 1)
+        for cutoff in CUTOFFS:
+            with decimal_cutoff(cutoff):
+                assert certify_digits(a, b, k, 1, 1) == want, (k, cutoff)
 
 
 def cf_pairs(k, h, count):
@@ -413,12 +420,12 @@ def test_decimal_path_above_the_transform_threshold(k, h, digits, method):
     assert same_fraction(results[1].error_bound, results[0].error_bound)
 
 
-def test_decimal_certificate_converts_the_full_pair_when_the_cut_one_cannot_decide(monkeypatch):
+def test_certificate_converts_the_full_pair_only_when_the_cut_one_cannot_decide(monkeypatch):
     # sqrt(10^6 + 3) = 1000.0014999989...: at six places 10^6 a / b lies
     # so close to an integer that the cut pair's interval test leaves
-    # floor(10^6 a / b) open, so the full a and b are converted
-    a, b, k, digits = 5135722962681111, 5135715259114, 10 ** 6 + 3, 6
-    assert (a, b) in cf_pairs(k, 1, 24)
+    # floor(10^6 a / b) open, so both number types check the full pair.
+    # Far wider pairs, cut as in test_certify_cuts_operands_when_b_is_wide,
+    # are decided by the interval alone: the full a and b never convert.
     converted = []
     to_decimal = approx._to_decimal
 
@@ -427,13 +434,26 @@ def test_decimal_certificate_converts_the_full_pair_when_the_cut_one_cannot_deci
         return to_decimal(n)
 
     monkeypatch.setattr(approx, "_to_decimal", spy)
+    a, b, k, digits = 5135722962681111, 5135715259114, 10 ** 6 + 3, 6
+    assert (a, b) in cf_pairs(k, 1, 24)
+    want = reference_certify(a, b, k, 1, digits)
+    assert want is not None
     with decimal_cutoff(None):
-        want = certify_digits(a, b, k, 1, digits)
-    assert want == reference_certify(a, b, k, 1, digits) is not None
+        assert certify_digits(a, b, k, 1, digits) == want
     assert converted == []
     with decimal_cutoff(0):
         assert certify_digits(a, b, k, 1, digits) == want
     assert a in converted and b in converted
+    k, digits = 2, 30
+    for width in (200, 1000, 5000):
+        b = (1 << width) + 12345
+        a = isqrt(k * b * b)
+        converted.clear()
+        with decimal_cutoff(0):
+            assert certify_digits(a, b, k, 1, digits) == reference_certify(a, b, k, 1, digits)
+        assert converted and a not in converted and b not in converted, width
+        # what converts is the cut pair, the quotient's width plus guard bits
+        assert max(converted).bit_length() <= (10 ** digits).bit_length() + 16, width
 
 
 def test_decimal_path_keeps_the_callers_context():
