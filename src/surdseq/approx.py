@@ -311,13 +311,13 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
-    context, *scales = _scales(k, digits)
+    context, scale_bits, scale, scaled, convert = _scales(k, digits)
     with context:
-        for index, num, den in _convergents(k, h, method, scales[0]):
+        for index, num, den in _convergents(k, h, method, scale_bits):
             # a / b = num / (h den) in lowest terms (see _convergents)
             common = gcd(num % h, h)
             a, b = _strip_twos(num // common, h // common * den)
-            out = _certify(a, b, k, h, digits, *scales)
+            out = _certify(a, b, k, h, digits, scale_bits, scale, scaled, convert)
             if out is not None:
                 return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h), k, h)
     raise AssertionError("convergent stream is infinite")
