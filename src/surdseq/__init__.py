@@ -1,22 +1,13 @@
 """Exact rational convergents to sqrt(k/h), with certified digits.
 
-Everything is integer or Rational arithmetic; floats never enter the
+Everything is integer or exact rational arithmetic; floats never enter the
 computations.  The same numbers are reachable through independent
 strategies (iteration, closed forms, binomial sums, generating
 functions, Newton steps, infinite products) and the library leans on
 that redundancy for self-verification.
 """
-from .approx import (
-    ApproxResult,
-    BenchRecord,
-    Method,
-    approximate,
-    bench_methods,
-    certify_digits,
-    cf_convergents,
-    floor_root_scaled,
-)
-from .exact import ConsistencyError, Rational, cmp_to_root, isqrt, perfect_square_root
+from .approx import ApproxResult, Method, approximate, certify_digits, floor_root_scaled
+from .exact import ConsistencyError, cmp_to_root, isqrt, perfect_square_root
 from .identities import (
     FailureWitness,
     IdentityReport,
@@ -58,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxResult",
-    "BenchRecord",
     "ConsistencyError",
     "FailureWitness",
     "Family",
@@ -67,19 +57,16 @@ __all__ = [
     "NewtonState",
     "ProductState",
     "QuadSurd",
-    "Rational",
     "SeqSpec",
     "SequenceName",
     "TermPair",
     "addition_jump",
     "approximate",
     "as_exact_int",
-    "bench_methods",
     "binomial_term",
     "cd_closed_form",
     "cd_run",
     "certify_digits",
-    "cf_convergents",
     "closed_form_term",
     "cmp_to_root",
     "coupled_iterate",

@@ -8,7 +8,6 @@ and can only agree with each other or fail loudly.
 """
 from __future__ import annotations
 
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -16,10 +15,10 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .exact import (
-    _EXACT, ConsistencyError, _to_decimal, _use_decimal, decimal_str, isqrt, perfect_square_root,
+    _EXACT, _to_decimal, _use_decimal, decimal_str, isqrt, perfect_square_root,
     require_int,
 )
 from .quad import surd_square
@@ -277,7 +276,7 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
         return _coprime_fraction(y // shared, den // shared)
     # Cleared of fractions the bound is N / M with N = |h a^2 - k b^2| g
     # and M = b (a h g + p b), both of degree two in (a, b).
-    num = abs(h * a * a - k * b * b) * guard
+    num = abs(h * (a * a) - k * (b * b)) * guard
     den = b * (a * h * guard + p * b)
     # With a and b coprime, gcd(N, M) divides the small s = c h g, where
     # c = k h g^2 - p^2 <= 2p.  Put r = h a^2 - k b^2 and x = a h g + p b;
@@ -321,64 +320,3 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
             if out is not None:
                 return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h), k, h)
     raise AssertionError("convergent stream is infinite")
-
-
-def cf_convergents(k: int, count: int) -> list[Fraction]:
-    """First continued-fraction convergents of sqrt(k), k nonsquare.
-
-    An independent yardstick: it shares no code with the pair
-    recurrences, so agreement between the two is worth something.
-    """
-    require_int("count", count, 1)
-    require_int("k", k, 2)
-    a0 = isqrt(k)
-    if a0 * a0 == k:
-        raise ValueError(f"continued fraction needs a nonsquare k, got {k}")
-    m, d, a = 0, 1, a0
-    h_cur, h_prev = a0, 1
-    k_cur, k_prev = 1, 0
-    out = [Fraction(h_cur, k_cur)]
-    while len(out) < count:
-        m = d * a - m
-        d = (k - m * m) // d
-        a = (a0 + m) // d
-        h_cur, h_prev = a * h_cur + h_prev, h_cur
-        k_cur, k_prev = a * k_cur + k_prev, k_cur
-        out.append(Fraction(h_cur, k_cur))
-    return out
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One engine's run in bench_methods: the approximate call's digits
-    and n_used, and its wall time, error bound included."""
-
-    method: Method
-    k: int
-    digits_requested: int
-    digits: str
-    n_used: int
-    wall_time_s: float
-
-
-def bench_methods(k: int, digits: int, methods: Sequence[Method]) -> list[BenchRecord]:
-    """Race each method to certification on sqrt(k) through approximate.
-
-    All methods must land on the same digit string or the whole run is
-    thrown out as inconsistent.  approximate checks k and digits.
-    """
-    if not methods:
-        raise ValueError("need at least one method")
-    records = []
-    for method in methods:
-        started = time.perf_counter()
-        result = approximate(k, 1, digits, method)
-        elapsed = time.perf_counter() - started
-        records.append(BenchRecord(method, k, digits, result.digits, result.n_used, elapsed))
-    for record in records[1:]:
-        if record.digits != records[0].digits:
-            raise ConsistencyError(
-                f"methods disagree at k={k}, digits={digits}: "
-                f"{records[0].digits} vs {record.digits}"
-            )
-    return records

@@ -13,11 +13,12 @@ import csv
 import json
 import os
 import sys
+import time
 from fractions import Fraction
 from typing import Sequence
 
 from . import newton as newton_mod
-from .approx import Method, approximate, bench_methods
+from .approx import Method, approximate
 from .exact import ConsistencyError, decimal_str
 from .sequences import Family, SeqSpec, terms
 from .verify import SUITE_NAMES, run_suite
@@ -180,17 +181,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     methods = [Method(name.strip())
                for name in args.methods.split(",") if name.strip()]
-    records = bench_methods(args.k, args.digits, methods)
+    _require(bool(methods), "need at least one method")
+    rows = []
+    for method in methods:
+        started = time.perf_counter()
+        result = approximate(args.k, 1, args.digits, method)
+        rows.append({
+            "method": method.value,
+            "k": args.k,
+            "digits_requested": args.digits,
+            "n_used": result.n_used,
+            "wall_time_s": time.perf_counter() - started,
+            "digits": result.digits,
+        })
+        if result.digits != rows[0]["digits"]:
+            raise ConsistencyError(f"methods disagree at k={args.k}, digits={args.digits}: "
+                                   f"{rows[0]['digits']} vs {result.digits}")
     params = {"k": args.k, "digits": args.digits,
               "methods": [m.value for m in methods]}
-    rows = [{
-        "method": rec.method.value,
-        "k": rec.k,
-        "digits_requested": rec.digits_requested,
-        "n_used": rec.n_used,
-        "wall_time_s": rec.wall_time_s,
-        "digits": rec.digits,
-    } for rec in records]
     _emit(args, "bench", params,
           ["method", "k", "digits_requested", "n_used", "wall_time_s", "digits"], rows)
     return 0

@@ -23,8 +23,6 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed.  Signals a bug, never bad input."""
@@ -58,7 +56,7 @@ def perfect_square_root(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def cmp_to_root(q: Rational | int, k: int, h: int = 1) -> int:
+def cmp_to_root(q: Fraction | int, k: int, h: int = 1) -> int:
     """Order a nonnegative rational q against sqrt(k/h) exactly.
 
     Returns -1, 0 or +1 for q below, equal to or above the root.
@@ -94,7 +92,7 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 # and 3.11, where both are quadratic, and 5.5e4 from 3.12 on, where
 # _pylong divides and formats wide ints by divide and conquer.
 # decimal_str alone crosses over at 2-2.5e4 digits on 3.11 and 3-5e4
-# on 3.12 and 3.13, so the same constant serves _decimal.  None when
+# on 3.12 and 3.13, so it takes the same constant.  None when
 # decimal is the pure-Python _pydecimal, which has no such edge.
 try:
     from _decimal import Decimal as _LibmpdecDecimal
@@ -142,38 +140,36 @@ def _to_decimal(n: int) -> Decimal:
         return convert(n, n.bit_length())
 
 
-def _decimal(n: int, width: int) -> str:
-    """n >= 0 in decimal, zero-padded to `width` digits (n < 10^width).
+def decimal_str(n: int) -> str:
+    """str(n), under any int->str cap and in less time than str() on a long n.
 
     From _DECIMAL_CUTOFF digits on, Decimal formats it.  Below, divide
     and conquer on powers of ten, so str() only ever formats pieces of
     at most _STR_PIECE digits.
     """
-    if _use_decimal(width):
-        return format(_to_decimal(n), "f").rjust(width, "0")
-    pieces = []
-    powers: dict[int, int] = {}
-    pending = [(n, width)]
-    while pending:
-        n, width = pending.pop()
-        if width <= _STR_PIECE:
-            pieces.append(str(n).rjust(width, "0"))
-            continue
-        low = width // 2
-        if low not in powers:
-            powers[low] = 10 ** low
-        high, rest = divmod(n, powers[low])
-        pending.append((rest, low))
-        pending.append((high, width - low))
-    return "".join(pieces)
-
-
-def decimal_str(n: int) -> str:
-    """str(n), formatted by _decimal, so it works under any int->str cap
-    and costs less than str() on a long n."""
     require_int("n", n)
     magnitude = abs(n)
-    # 0.30103 > log10(2), so this is never below the digit count
+    # 0.30103 > log10(2), so this is at most two above the digit count,
+    # and the leading piece of a split, at least _STR_PIECE // 2 digits
+    # wide, is nonzero
     width = magnitude.bit_length() * 30103 // 10 ** 5 + 1
-    text = _decimal(magnitude, width).lstrip("0") or "0"
+    if _use_decimal(width):
+        text = format(_to_decimal(magnitude), "f")
+    else:
+        pieces = []
+        powers: dict[int, int] = {}
+        pending = [(magnitude, width)]
+        while pending:
+            part, width = pending.pop()
+            if width <= _STR_PIECE:
+                piece = str(part)
+                pieces.append(piece.rjust(width, "0") if pieces else piece)
+                continue
+            low = width // 2
+            if low not in powers:
+                powers[low] = 10 ** low
+            high, rest = divmod(part, powers[low])
+            pending.append((rest, low))
+            pending.append((high, width - low))
+        text = "".join(pieces)
     return "-" + text if n < 0 else text

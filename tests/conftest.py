@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import settings
 
-from surdseq import approx
+from surdseq import approx, cli
 
 settings.register_profile("ci", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -18,8 +18,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture
 def disagreeing_jump(monkeypatch):
-    """approx.approximate with JUMP's last digit flipped, so bench's
-    engines disagree whenever JUMP runs."""
+    """The approximate that cli calls, with JUMP's last digit flipped, so
+    bench's engines disagree whenever JUMP runs."""
     honest = approx.approximate
 
     def approximate(k, h, digits, method=approx.Method.LINEAR):
@@ -29,4 +29,4 @@ def disagreeing_jump(monkeypatch):
             return replace(result, digits=result.digits[:-1] + last)
         return result
 
-    monkeypatch.setattr(approx, "approximate", approximate)
+    monkeypatch.setattr(cli, "approximate", approximate)

@@ -8,7 +8,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from surdseq.approx import Method, approximate, bench_methods, floor_root_scaled
+from surdseq.approx import Method, approximate, floor_root_scaled
 from surdseq.exact import cmp_to_root, perfect_square_root
 from surdseq.identities import fast_term, index_double, sqrt_double
 from surdseq.newton import (
@@ -172,7 +172,7 @@ def test_criterion_08_product_limit():
 
 def test_criterion_09_performance_smoke():
     with criterion(9, "fast_term(2, 10^6) under 5s, spot-equal to "
-                      "iteration, and newton beats linear in bench"):
+                      "iteration, and newton certifies at a lower index than linear"):
         started = time.perf_counter()
         big = fast_term(2, 10 ** 6)
         elapsed = time.perf_counter() - started
@@ -183,9 +183,8 @@ def test_criterion_09_performance_smoke():
         for _ in range(20):
             n = rng.randrange(10 ** 4 + 1)
             assert fast_term(2, n) == terms[n]
-        records = bench_methods(2, 50, [Method.LINEAR, Method.NEWTON])
-        by_method = {rec.method: rec for rec in records}
-        assert by_method[Method.NEWTON].n_used < by_method[Method.LINEAR].n_used
+        assert (approximate(2, 1, 50, Method.NEWTON).n_used
+                < approximate(2, 1, 50, Method.LINEAR).n_used)
 
 
 def test_criterion_10_alternation():

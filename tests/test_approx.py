@@ -1,17 +1,12 @@
-"""Digit certification, convergence behavior, and the engine race in bench."""
+"""Digit certification and convergence behavior, with a continued-fraction
+yardstick for the pair recurrences."""
+import math
 from fractions import Fraction
 
 import pytest
 
-from surdseq.approx import (
-    Method,
-    approximate,
-    bench_methods,
-    certify_digits,
-    cf_convergents,
-    floor_root_scaled,
-)
-from surdseq.exact import ConsistencyError, cmp_to_root
+from surdseq.approx import Method, approximate, certify_digits, floor_root_scaled
+from surdseq.exact import cmp_to_root
 from surdseq.identities import fast_term
 from surdseq.newton import newton_run
 from surdseq.sequences import Family, SeqSpec, coupled_iterate
@@ -80,9 +75,6 @@ def test_jump_rejects_square_kh(k, h):
     with pytest.raises(ValueError):
         approximate(k, h, 10, Method.JUMP)
     assert approximate(k, h, 10, Method.NEWTON).digits == format_truth(k, h, 10)
-    if h == 1:
-        with pytest.raises(ValueError):
-            bench_methods(k, 10, [Method.JUMP])
 
 
 def test_approximate_validation():
@@ -168,6 +160,24 @@ def test_newton_doubles_correct_digits():
                 assert got[n + 1] >= 2 * got[n]
 
 
+def cf_convergents(k, count):
+    """First continued-fraction convergents of sqrt(k), k nonsquare: a
+    yardstick that shares no code with the pair recurrences."""
+    a0 = math.isqrt(k)
+    m, d, a = 0, 1, a0
+    h_cur, h_prev = a0, 1
+    k_cur, k_prev = 1, 0
+    out = [Fraction(h_cur, k_cur)]
+    while len(out) < count:
+        m = d * a - m
+        d = (k - m * m) // d
+        a = (a0 + m) // d
+        h_cur, h_prev = a * h_cur + h_prev, h_cur
+        k_cur, k_prev = a * k_cur + k_prev, k_cur
+        out.append(Fraction(h_cur, k_cur))
+    return out
+
+
 def test_cf_convergents_known_values():
     assert cf_convergents(2, 4) == [
         Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
@@ -175,54 +185,8 @@ def test_cf_convergents_known_values():
         Fraction(2), Fraction(3), Fraction(5, 2), Fraction(8, 3)]
 
 
-def test_cf_convergents_validation():
-    with pytest.raises(ValueError):
-        cf_convergents(9, 4)
-    with pytest.raises(ValueError):
-        cf_convergents(1, 4)
-    with pytest.raises(ValueError):
-        cf_convergents(2, 0)
-
-
 def test_base_pair_ratios_are_cf_convergents_for_small_k():
     for k in (2, 3):
         cf = set(cf_convergents(k, 40))
         for t in coupled_iterate(SeqSpec(Family.AB, k=k), 16):
             assert Fraction(t.num, t.den) in cf
-
-
-def test_bench_methods_agree_and_rank():
-    records = bench_methods(2, 50, list(Method))
-    assert len({rec.digits for rec in records}) == 1
-    assert records[0].digits == format_truth(2, 1, 50)
-    by_method = {rec.method: rec for rec in records}
-    assert by_method[Method.NEWTON].n_used < by_method[Method.LINEAR].n_used
-    for rec in records:
-        assert rec.wall_time_s >= 0.0
-
-
-def test_bench_meters_engine_only():
-    # bench runs approximate itself, so its n_used is approximate's
-    records = bench_methods(2, 50, list(Method))
-    got = {rec.method: rec.n_used for rec in records}
-    assert got == {Method.LINEAR: 66, Method.JUMP: 128, Method.NEWTON: 7}
-    for method, n_used in got.items():
-        assert n_used == approximate(2, 1, 50, method).n_used
-
-
-@pytest.mark.usefixtures("disagreeing_jump")
-def test_bench_raises_when_methods_disagree():
-    assert len(bench_methods(2, 20, [Method.LINEAR, Method.NEWTON])) == 2
-    with pytest.raises(ConsistencyError):
-        bench_methods(2, 20, list(Method))
-
-
-def test_bench_validation():
-    # bench takes every k approximate takes
-    assert bench_methods(1, 10, [Method.LINEAR, Method.NEWTON])[0].digits == "1.0000000000"
-    with pytest.raises(ValueError):
-        bench_methods(0, 10, [Method.LINEAR])
-    with pytest.raises(ValueError):
-        bench_methods(2, 0, [Method.LINEAR])
-    with pytest.raises(ValueError):
-        bench_methods(2, 10, [])

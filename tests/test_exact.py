@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surdseq import exact
-from surdseq.exact import _decimal, _to_decimal, cmp_to_root, decimal_str, isqrt, perfect_square_root
+from surdseq.exact import _to_decimal, cmp_to_root, decimal_str, isqrt, perfect_square_root
 
 # ints across the str() piece size and powers of ten, plus random ones
 # short enough for str() under the default int->str cap
@@ -104,4 +104,3 @@ def test_decimal_text_on_ints_and_on_decimal(monkeypatch, cutoff):
     for n in DECIMAL_CASES:
         text = str(n)
         assert decimal_str(n) == text and decimal_str(-n) == ("-" + text if n else "0")
-        assert _decimal(n, len(text) + 3) == "000" + text

@@ -5,14 +5,7 @@ from fractions import Fraction
 import pytest
 
 import surdseq
-from surdseq.approx import (
-    Method,
-    approximate,
-    bench_methods,
-    certify_digits,
-    cf_convergents,
-    floor_root_scaled,
-)
+from surdseq.approx import Method, approximate, certify_digits, floor_root_scaled
 from surdseq.exact import cmp_to_root, decimal_str, isqrt, perfect_square_root
 from surdseq.identities import (
     addition_jump,
@@ -78,15 +71,11 @@ INT_ARGS = [
     arg(approximate, dict(k=2, h=1, digits=5, method=Method.NEWTON), "k", 1),
     arg(approximate, dict(k=2, h=1, digits=5, method=Method.NEWTON), "h", 1),
     arg(approximate, dict(k=2, h=1, digits=5, method=Method.NEWTON), "digits", 1),
-    arg(bench_methods, dict(k=2, digits=5, methods=[Method.NEWTON]), "k", 1),
-    arg(bench_methods, dict(k=2, digits=5, methods=[Method.NEWTON]), "digits", 1),
     arg(certify_digits, dict(a=3, b=2, k=2, h=1, digits=1), "a", 0),
     arg(certify_digits, dict(a=3, b=2, k=2, h=1, digits=1), "b", 1),
     arg(certify_digits, dict(a=3, b=2, k=2, h=1, digits=1), "k", 1),
     arg(certify_digits, dict(a=3, b=2, k=2, h=1, digits=1), "h", 1),
     arg(certify_digits, dict(a=3, b=2, k=2, h=1, digits=1), "digits", 1),
-    arg(cf_convergents, dict(k=3, count=4), "k", 2),
-    arg(cf_convergents, dict(k=3, count=4), "count", 1),
     arg(floor_root_scaled, dict(k=2, h=1, digits=5), "k", 1),
     arg(floor_root_scaled, dict(k=2, h=1, digits=5), "h", 1),
     arg(floor_root_scaled, dict(k=2, h=1, digits=5), "digits", 0),
