@@ -1,11 +1,14 @@
 """Digit certification and convergence behavior, with a continued-fraction
-yardstick for the pair recurrences."""
+yardstick for the pair recurrences and the engine race that `surdseq bench`
+runs over approximate."""
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from surdseq.approx import Method, approximate, certify_digits, floor_root_scaled
+from surdseq.cli import main
 from surdseq.exact import cmp_to_root
 from surdseq.identities import fast_term
 from surdseq.newton import newton_run
@@ -190,3 +193,51 @@ def test_base_pair_ratios_are_cf_convergents_for_small_k():
         cf = set(cf_convergents(k, 40))
         for t in coupled_iterate(SeqSpec(Family.AB, k=k), 16):
             assert Fraction(t.num, t.den) in cf
+
+
+def bench(capsys, k, digits, methods=Method):
+    code = main(["bench", "--k", str(k), "--digits", str(digits), "--format", "json",
+                 "--methods", ",".join(m.value for m in methods)])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out)["rows"] if code == 0 else captured.err
+
+
+def test_bench_methods_agree_and_rank(capsys):
+    code, rows = bench(capsys, 2, 50)
+    assert code == 0
+    assert len({row["digits"] for row in rows}) == 1
+    assert rows[0]["digits"] == format_truth(2, 1, 50)
+    by_method = {Method(row["method"]): row for row in rows}
+    assert int(by_method[Method.NEWTON]["n_used"]) < int(by_method[Method.LINEAR]["n_used"])
+    for row in rows:
+        assert (row["k"], row["digits_requested"]) == ("2", "50")
+        assert isinstance(row["wall_time_s"], float) and row["wall_time_s"] >= 0.0
+
+
+def test_bench_meters_engine_only(capsys):
+    # bench runs approximate itself, so its digits and n_used are approximate's
+    code, rows = bench(capsys, 2, 50)
+    assert code == 0
+    got = {Method(row["method"]): int(row["n_used"]) for row in rows}
+    assert got == {Method.LINEAR: 66, Method.JUMP: 128, Method.NEWTON: 7}
+    for row in rows:
+        result = approximate(2, 1, 50, Method(row["method"]))
+        assert (int(row["n_used"]), row["digits"]) == (result.n_used, result.digits)
+
+
+@pytest.mark.usefixtures("disagreeing_jump")
+def test_bench_raises_when_methods_disagree(capsys):
+    code, rows = bench(capsys, 2, 20, [Method.LINEAR, Method.NEWTON])
+    assert code == 0 and len(rows) == 2
+    code, err = bench(capsys, 2, 20)
+    assert code == 1 and "consistency failure" in err
+
+
+def test_bench_validation(capsys):
+    # bench takes every k approximate takes, and refuses what it refuses
+    code, rows = bench(capsys, 1, 10, [Method.LINEAR, Method.NEWTON])
+    assert code == 0
+    assert {row["digits"] for row in rows} == {"1.0000000000"}
+    assert bench(capsys, 0, 10, [Method.LINEAR])[0] == 2
+    assert bench(capsys, 2, 0, [Method.LINEAR])[0] == 2
+    assert bench(capsys, 2, 10, [])[0] == 2
