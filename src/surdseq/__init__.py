@@ -27,7 +27,7 @@ from .newton import (
     newton_step,
 )
 from .products import ProductState, cd_closed_form, cd_run, partial_product, product_limit_gap
-from .quad import QuadSurd, as_exact_int, root_of, surd_pow, surd_square
+from .quad import surd_pow, surd_square
 from .sequences import (
     Family,
     SeqSpec,
@@ -56,13 +56,11 @@ __all__ = [
     "Method",
     "NewtonState",
     "ProductState",
-    "QuadSurd",
     "SeqSpec",
     "SequenceName",
     "TermPair",
     "addition_jump",
     "approximate",
-    "as_exact_int",
     "binomial_term",
     "cd_closed_form",
     "cd_run",
@@ -87,7 +85,6 @@ __all__ = [
     "product_limit_gap",
     "recurrence",
     "reduced_cd",
-    "root_of",
     "run_suite",
     "second_order_iterate",
     "sqrt_double",

@@ -71,6 +71,23 @@ def _root_floor(t, h, scaled):
     return t
 
 
+# Consecutive continued-fraction convergents of log2(10), the first
+# below it and the second above: 2^254370 < 10^76573 and
+# 10^97879 < 2^325147.
+_LOG2_10_BELOW = (254370, 76573)
+_LOG2_10_ABOVE = (325147, 97879)
+
+
+def _power_of_ten_bits(digits: int) -> int:
+    """(10^digits).bit_length() = floor(digits log2(10)) + 1, for
+    digits >= 0.  The floor lies between the floors taken at the two
+    bounds on log2(10); only when those differ is the power built."""
+    low = digits * _LOG2_10_BELOW[0] // _LOG2_10_BELOW[1]
+    if low == digits * _LOG2_10_ABOVE[0] // _LOG2_10_ABOVE[1]:
+        return low + 1
+    return (10 ** digits).bit_length()
+
+
 def _scales(k: int, digits: int) -> tuple:
     """The context _certify runs under, then its arguments that depend
     only on the digit count: the bit length of scale = 10^digits, scale
@@ -78,25 +95,28 @@ def _scales(k: int, digits: int) -> tuple:
     and convert, which turns an int into that type.  Below
     _DECIMAL_CUTOFF digits the type is int, which needs no context.
     From it on it is the libmpdec Decimal integer, exact under _EXACT,
-    and scale and scaled keep their power of ten in the exponent."""
-    scale = 10 ** digits
+    and scale and scaled keep their power of ten in the exponent, so
+    no int power of ten is built."""
     if not _use_decimal(digits):
+        scale = 10 ** digits
         return nullcontext(), scale.bit_length(), scale, k * scale * scale, int
     with localcontext(_EXACT):
         scales = Decimal(1).scaleb(digits), _to_decimal(k).scaleb(2 * digits)
-    return localcontext(_EXACT), scale.bit_length(), *scales, _to_decimal
+    return localcontext(_EXACT), _power_of_ten_bits(digits), *scales, _to_decimal
 
 
-def _certify(a: int, b: int, k: int, h: int, digits: int, scale_bits: int, scale, scaled,
-             convert) -> str | None:
-    """certify_digits on checked input, given the rest from _scales and
-    run under its context; the same steps serve either number type.
+def _certify(a: int, b: int, k: int, h: int, root: int | None, digits: int, scale_bits: int,
+             scale, scaled, convert) -> str | None:
+    """certify_digits on checked input, given root = perfect_square_root(h k)
+    and the rest from _scales, and run under _scales' context; the same
+    steps serve either number type.
 
-    A pair too narrow to come within 10^-digits of the root is turned
-    away first, on bit lengths: with r = h a^2 - k b^2,
-    |a/b - root| = |r| / (h b (a + b root)), and a + b root < 2a + b
-    whenever the gap is below 1, so h b (2a + b) < 10^digits puts the
-    pair too far away unless r = 0.  Computing r is cheap for such a pair.
+    A pair too narrow to come within 10^-digits of x = sqrt(k/h) is
+    turned away first, on bit lengths: with r = h a^2 - k b^2,
+    |a/b - x| = |r| / (h b (a + b x)), and a + b x < 2a + b whenever
+    the gap is below 1, so h b (2a + b) < 10^digits puts the pair too
+    far away unless r = 0.  That needs h k = root^2, and then r = 0
+    exactly when h a = root b, as h r = (h a)^2 - (root b)^2.
 
     The proposal t comes from a and b cut down, when they are wider,
     to the quotient's width plus _GUARD_BITS, which moves it by less
@@ -110,7 +130,7 @@ def _certify(a: int, b: int, k: int, h: int, digits: int, scale_bits: int, scale
     """
     narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
               < scale_bits)
-    if narrow and h * a * a != k * b * b:
+    if narrow and (root is None or h * a != root * b):
         return None
     shift = max(b.bit_length() - scale_bits - max(a.bit_length() - b.bit_length(), 0)
                 - _GUARD_BITS, 0)
@@ -149,7 +169,7 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     a, b = _strip_twos(a, b)
     context, *scales = _scales(k, digits)
     with context:
-        return _certify(a, b, k, h, digits, *scales)
+        return _certify(a, b, k, h, perfect_square_root(h * k), digits, *scales)
 
 
 def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int]]:
@@ -219,11 +239,14 @@ def _convergents(k: int, h: int, method: Method, scale_bits: int) -> Iterator[tu
                     < h_bits + c_bits + max(a.bit_length(), c_bits + root_bits) + 1):
                 yield index, a, c
     elif method is Method.JUMP:
-        if perfect_square_root(radicand) is not None:
+        root = perfect_square_root(radicand)
+        if root is not None:
             # with K = s^2, A - s B = (1 - s)^(index + 1), and index + 1 is
-            # odd from index 2 on: the candidates lie below the rational
-            # root s / h and never certify one whose decimals end early
-            raise ValueError(f"index jumping needs a nonsquare k h, got k={k}, h={h}")
+            # odd from index 2 on: the powers lie below the rational root
+            # s / h and never certify one whose decimals end early, so the
+            # one candidate is the root itself
+            yield 1, root, 1
+            return
         # p + q sqrt(K) runs over 1 + sqrt(K) and its squarings, so the candidate
         # (p + q sqrt(K)) (1 + sqrt(K)) at index = 2^j is (1 + sqrt(K))^(index + 1),
         # at h = 1 the paper's ab pair fast_term(k, index)
@@ -254,26 +277,27 @@ else:
             return Fraction(n, m, _normalize=False)
 
 
-def _coprime_error_bound(a: int, b: int, k: int, h: int) -> Fraction:
-    """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime a and b >= 1."""
+def _coprime_error_bound(a: int, b: int, k: int, h: int, root: int | None) -> Fraction:
+    """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime
+    a and b >= 1, given root = perfect_square_root(h k)."""
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound; L = p / (h g) is the root truncated to eight places.
-    guard = 10 ** 8
-    radicand = k * h * guard * guard
-    p = isqrt(radicand)
-    if p * p == radicand:
+    if root is not None:
         # k h = s^2 is a square, which covers every zero residual.  Then L
         # is the root s / h itself, and the bound is |y| / (h b) with
         # y = h a - s b, since h (h a^2 - k b^2) = y (h a + s b).  With a
         # and b coprime, gcd(y, b) = gcd(h a, b) = gcd(h, b), so gcd(y, h b)
         # divides gcd(y, h) gcd(h, b), and remainders by that give it.
         # y = 0 gives 0 / 1, as h a = s b makes b divide h.
-        y = abs(h * a - p // guard * b)
+        y = abs(h * a - root * b)
         den = h * b
         shared = gcd(y % h, h) * gcd(b % h, h)
         shared = gcd(y % shared, den % shared, shared)
         return _coprime_fraction(y // shared, den // shared)
+    guard = 10 ** 8
+    radicand = k * h * guard * guard
+    p = isqrt(radicand)
     # Cleared of fractions the bound is N / M with N = |h a^2 - k b^2| g
     # and M = b (a h g + p b), both of degree two in (a, b).
     num = abs(h * (a * a) - k * (b * b)) * guard
@@ -310,13 +334,14 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
+    root = perfect_square_root(h * k)
     context, scale_bits, scale, scaled, convert = _scales(k, digits)
     with context:
         for index, num, den in _convergents(k, h, method, scale_bits):
             # a / b = num / (h den) in lowest terms (see _convergents)
             common = gcd(num % h, h)
             a, b = _strip_twos(num // common, h // common * den)
-            out = _certify(a, b, k, h, digits, scale_bits, scale, scaled, convert)
+            out = _certify(a, b, k, h, root, digits, scale_bits, scale, scaled, convert)
             if out is not None:
-                return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h), k, h)
+                return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h, root), k, h)
     raise AssertionError("convergent stream is infinite")

@@ -2,7 +2,7 @@
 
 The radicand is carried along unsimplified, so sqrt(4) stays a formal
 symbol instead of collapsing to 2.  Mixing two different radicands in
-one operation is an error; scalars (int, Fraction) combine freely.
+one operation is an error; an int or Fraction may stand on the right.
 surd_square and surd_pow are the integer kernel for surd powers, on
 plain ints; binomial_part reaches the same numbers by binomial sums.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .exact import ConsistencyError, require_int
+from .exact import require_int
 
 _Scalar = (int, Fraction)
 
@@ -85,8 +85,6 @@ class QuadSurd:
             return NotImplemented
         return QuadSurd(self.rat + o.rat, self.coef + o.coef, self.radicand)
 
-    __radd__ = __add__
-
     def __neg__(self) -> QuadSurd:
         return QuadSurd(-self.rat, -self.coef, self.radicand)
 
@@ -95,9 +93,6 @@ class QuadSurd:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other: object) -> QuadSurd:
-        return -(self - other)
 
     def __mul__(self, other: object) -> QuadSurd:
         o = self._coerce(other)
@@ -108,8 +103,6 @@ class QuadSurd:
             self.rat * o.coef + self.coef * o.rat,
             self.radicand,
         )
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> QuadSurd:
         """self^e for e >= 0, squaring the base only while bits of e remain."""
@@ -124,44 +117,6 @@ class QuadSurd:
                 return result
             base = base * base
 
-    def __truediv__(self, other: object) -> QuadSurd:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
     def conj(self) -> QuadSurd:
         """Conjugate: flips the sign of the sqrt coefficient."""
         return QuadSurd(self.rat, -self.coef, self.radicand)
-
-    def norm(self) -> Fraction:
-        """Field norm rat^2 - coef^2 * radicand (self times conjugate)."""
-        return self.rat * self.rat - self.coef * self.coef * self.radicand
-
-    def inverse(self) -> QuadSurd:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError(f"{self} has norm 0 and no inverse")
-        return QuadSurd(self.rat / n, -self.coef / n, self.radicand)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.coef == 0
-
-
-def root_of(radicand: int) -> QuadSurd:
-    """The formal square root of radicand as a QuadSurd."""
-    return QuadSurd(Fraction(0), Fraction(1), radicand)
-
-
-def as_exact_int(x: QuadSurd) -> int:
-    """Collapse a QuadSurd that must be a plain integer, or fail loudly.
-
-    Closed-form evaluations end on expressions whose radical part
-    provably cancels; if it does not, something upstream is wrong.
-    """
-    if x.coef != 0:
-        raise ConsistencyError(f"radical part did not cancel: {x}")
-    if x.rat.denominator != 1:
-        raise ConsistencyError(f"closed form produced a non-integer: {x.rat}")
-    return int(x.rat)

@@ -18,10 +18,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .exact import require_int
+from .exact import ConsistencyError, require_int
 from .newton import newton_run
 from .products import cd_run
-from .quad import QuadSurd, as_exact_int, binomial_part, root_of, surd_pow
+from .quad import QuadSurd, binomial_part, surd_pow
 
 
 class Family(Enum):
@@ -230,15 +230,21 @@ def binomial_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
 def closed_form_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
     """One term at full index n, read off x = (1 + sqrt(K))^e in QuadSurd
     algebra through its conjugate y: the rational part is (x + y)/2, the
-    sqrt(K) coefficient sqrt(K) (x - y)/(2K).  The radical cancellation
-    is checked rather than assumed.
+    sqrt(K) coefficient sqrt(K) (x - y)/(2K).  That the radical part
+    cancels and an integer is left is checked rather than assumed.
     """
     rad, e, odd, factor = _term_form(name, k, n, h)
     x = QuadSurd(1, 1, rad) ** e
     y = x.conj()
     if odd:
-        return as_exact_int(root_of(rad) * (x - y) * Fraction(factor, 2 * rad))
-    return as_exact_int((x + y) * Fraction(factor, 2))
+        term = QuadSurd(0, 1, rad) * (x - y) * Fraction(factor, 2 * rad)
+    else:
+        term = (x + y) * Fraction(factor, 2)
+    if term.coef != 0:
+        raise ConsistencyError(f"radical part did not cancel: {term}")
+    if term.rat.denominator != 1:
+        raise ConsistencyError(f"closed form produced a non-integer: {term.rat}")
+    return int(term.rat)
 
 
 def genfunc_coeffs(numer: Sequence[int], denom: Sequence[int], count: int) -> list[int]:

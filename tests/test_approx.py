@@ -7,16 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from surdseq import exact
 from surdseq.approx import Method, approximate, certify_digits, floor_root_scaled
 from surdseq.cli import main
-from surdseq.exact import cmp_to_root
+from surdseq.exact import cmp_to_root, decimal_str
 from surdseq.identities import fast_term
 from surdseq.newton import newton_run
 from surdseq.sequences import Family, SeqSpec, coupled_iterate
 
 
 def format_truth(k, h, digits):
-    raw = str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
+    raw = decimal_str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
     return raw[:-digits] + "." + raw[-digits:]
 
 
@@ -71,13 +72,18 @@ def test_uv_methods_agree_with_truth():
 
 @pytest.mark.parametrize("k, h", [(1, 1), (4, 1), (9, 1), (10 ** 6, 1),
                                   (2, 8), (3, 12), (1, 4), (5, 5)])
-def test_jump_rejects_square_kh(k, h):
-    # for a square k h every jump candidate past the first lies below the
-    # rational root, so the engine must refuse at once instead of
-    # iterating forever; NEWTON certifies the same input
-    with pytest.raises(ValueError):
-        approximate(k, h, 10, Method.JUMP)
-    assert approximate(k, h, 10, Method.NEWTON).digits == format_truth(k, h, 10)
+def test_jump_rejects_square_kh(k, h, monkeypatch):
+    # for a square k h = s^2 every jump power lies below the rational
+    # root s / h, so JUMP rejects them all and proposes s / h itself,
+    # which certifies at index 1 with error bound 0 on ints (cutoff None)
+    # and on Decimal integers (cutoff 0) alike
+    for digits in (1, 7, 300, 3 * 10 ** 4, 6 * 10 ** 4):
+        truth = format_truth(k, h, digits)
+        for cutoff in (None, 0):
+            monkeypatch.setattr(exact, "_DECIMAL_CUTOFF", cutoff)
+            result = approximate(k, h, digits, Method.JUMP)
+            assert result.digits == truth, (cutoff, digits)
+            assert (result.n_used, result.error_bound) == (1, 0)
 
 
 def test_approximate_validation():

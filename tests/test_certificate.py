@@ -21,7 +21,7 @@ import sys
 from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -107,17 +107,16 @@ def paper_orbit(k, h, method):
     """(index, a, b) along the paper's orbit for one method: the ab or uv
     pairs one index at a time, the power index + 1 of 1 + sqrt(h k) read
     as A / (h B) at indices 2^j (the ab pairs when h = 1), or the Newton
-    orbit from (1, 1)."""
+    orbit from (1, 1).  JUMP on a square k h = s^2 proposes s / h alone."""
     if method is Method.LINEAR:
         stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
         next(stream)  # n = 0 has denominator 0 in the uv family
         for pair in stream:
             yield pair.n, pair.num, pair.den
     elif method is Method.JUMP:
-        # documented domain: no square k h, whose rational root the
-        # candidates approach from below
         if isqrt(k * h) ** 2 == k * h:
-            raise ValueError("index jumping needs a nonsquare k h")
+            yield 1, isqrt(k * h), h
+            return
         for j in count():
             a, b = jump_reference(k * h, 2 ** j)
             yield 2 ** j, a, h * b
@@ -143,7 +142,9 @@ def same_fraction(x, y):
 def lowest_terms_bound(a, b, k, h):
     """_coprime_error_bound on a / b with gcd(a, b) divided out first."""
     common = gcd(a, b)
-    return _coprime_error_bound(a // common, b // common, k, h)
+    root = isqrt(k * h)
+    return _coprime_error_bound(a // common, b // common, k, h,
+                                root if root * root == k * h else None)
 
 
 def assert_same_bound(a, b, k, h):
@@ -342,12 +343,7 @@ def test_approximate_matches_reference_grid(method):
             if method is Method.LINEAR and k * h > 1000:
                 continue  # LINEAR needs minutes there
             for digits in GRID_DIGITS:
-                try:
-                    want = reference_approximate(k, h, digits, method)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        approximate(k, h, digits, method)
-                    continue
+                want = reference_approximate(k, h, digits, method)
                 got = approximate(k, h, digits, method)
                 assert (got.digits, got.n_used) == want[:2], (method, k, h, digits)
                 assert same_fraction(got.error_bound, want[2]), (method, k, h, digits)
@@ -371,7 +367,7 @@ def test_approximate_matches_reference_when_h_exceeds_one(k, h, digits):
     assert_matches_reference(k, h, digits, Method.NEWTON)
     if k * h <= 1000:
         assert_matches_reference(k, h, digits, Method.LINEAR)
-    if k * h <= 10 ** 4 and isqrt(k * h) ** 2 != k * h:
+    if k * h <= 10 ** 4:
         assert_matches_reference(k, h, digits, Method.JUMP)
 
 
@@ -472,6 +468,22 @@ def test_decimal_path_keeps_the_callers_context():
             assert decimal.getcontext() is narrow and narrow.prec == 5
 
 
+def test_decimal_scales_take_the_bits_of_ten_from_bounds():
+    # the bounds on log2(10) hold: 2^p < 10^q below, 10^q < 2^p above
+    (p_below, q_below), (p_above, q_above) = approx._LOG2_10_BELOW, approx._LOG2_10_ABOVE
+    assert (10 ** q_below).bit_length() > p_below
+    assert (10 ** q_above).bit_length() <= p_above
+    # the bounds straddle an integer at q_above, where the lower floor
+    # is the right one, and at 174452, where the upper one is; the
+    # Decimal cutoff is 25_000 or 55_000 digits
+    extra = [q_below, q_above, 174452, 25_000, 55_000]
+    for digits in chain(range(3000), extra):
+        assert approx._power_of_ten_bits(digits) == (10 ** digits).bit_length(), digits
+    with decimal_cutoff(0):
+        for digits in chain(range(1, 300), extra):
+            assert approx._scales(3, digits)[1] == (10 ** digits).bit_length(), digits
+
+
 def test_without_libmpdec_the_cutoff_is_off():
     # with _decimal blocked, decimal is the pure-Python _pydecimal and
     # every width stays on ints
@@ -510,16 +522,12 @@ TIME_CAPS = {Method.LINEAR: 10 ** 3, Method.JUMP: 10 ** 4, Method.NEWTON: None}
 @example(500, 3, 300)
 @example(999, 1, 300)
 def test_engines_match_floor_root_scaled(k, h, digits):
-    # one domain: every engine takes every k, h >= 1, except that JUMP
-    # raises exactly when k h is a square; the int and Decimal paths
-    # give the same result, error bound in the same terms included
+    # one domain: every engine takes every k, h >= 1; the int and
+    # Decimal paths give the same result, error bound in the same terms
+    # included
     raw = str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
     truth = raw[:-digits] + "." + raw[-digits:]
     for method, cap in TIME_CAPS.items():
-        if method is Method.JUMP and isqrt(k * h) ** 2 == k * h:
-            with pytest.raises(ValueError):
-                approximate(k, h, digits, method)
-            continue
         if cap is not None and k * h > cap:
             continue
         results = []

@@ -253,15 +253,17 @@ def test_python_dash_m_runs_the_cli(capsys, module):
 def test_approx_usage_errors(capsys):
     assert run(capsys, "approx", "--k", "0", "--digits", "5")[0] == 2
     assert run(capsys, "approx", "--k", "2", "--digits", "0")[0] == 2
-    # every engine takes h > 1; JUMP refuses only a square k h
+    # every engine takes every k, h >= 1, a square k h included
     code, jump, _ = run(capsys, "approx", "--k", "2", "--h", "3", "--digits", "5",
                         "--method", "jump")
     assert code == 0
     _, newton, _ = run(capsys, "approx", "--k", "2", "--h", "3", "--digits", "5",
                        "--method", "newton")
     assert jump.splitlines()[0] == newton.splitlines()[0] == "digits 0.81649"
-    assert run(capsys, "approx", "--k", "2", "--h", "8", "--digits", "5",
-               "--method", "jump")[0] == 2
+    code, out, _ = run(capsys, "approx", "--k", "2", "--h", "8", "--digits", "5",
+                       "--method", "jump")
+    assert code == 0
+    assert out.splitlines()[0] == "digits 0.50000"
     code, out, _ = run(capsys, "approx", "--k", "3", "--h", "3", "--digits", "5",
                        "--method", "newton")
     assert code == 0
@@ -308,6 +310,15 @@ def test_bench_plain_and_csv(capsys):
     assert {row[0] for row in rows[1:]} == {"newton", "linear"}
     digits = {row[-1] for row in rows[1:]}
     assert len(digits) == 1
+
+
+def test_bench_races_every_engine_on_a_square_k(capsys):
+    code, out, _ = run(capsys, "bench", "--k", "4", "--digits", "5", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["linear", "jump", "newton"]
+    assert {row[-1] for row in rows} == {"2.00000"}
+    assert rows[1][3] == "1"
 
 
 @pytest.mark.usefixtures("disagreeing_jump")

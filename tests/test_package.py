@@ -26,7 +26,7 @@ from surdseq.newton import (
     squared_shortcut,
 )
 from surdseq.products import cd_closed_form, cd_run, partial_product, product_limit_gap
-from surdseq.quad import QuadSurd, binomial_part, root_of, surd_pow, surd_square
+from surdseq.quad import QuadSurd, binomial_part, surd_pow, surd_square
 from surdseq.sequences import (
     Family,
     SeqSpec,
@@ -128,7 +128,6 @@ INT_ARGS = [
     arg(product_limit_gap, dict(r=3, n=3), "n", 1),
     arg(QuadSurd, dict(rat=1, coef=1, radicand=2), "radicand", 0),
     arg(QuadSurd(1, 1, 2).__pow__, dict(e=3), "e", 0),
-    arg(root_of, dict(radicand=2), "radicand", 0),
     arg(surd_square, dict(p=1, q=1, d=2), "p"),
     arg(surd_square, dict(p=1, q=1, d=2), "q"),
     arg(surd_square, dict(p=1, q=1, d=2), "d"),

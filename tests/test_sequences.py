@@ -2,6 +2,7 @@
 import pytest
 
 from surdseq import identities, newton, quad, sequences
+from surdseq.exact import ConsistencyError
 from surdseq.sequences import (
     Family,
     SeqSpec,
@@ -162,6 +163,19 @@ def test_binomial_and_closed_share_no_kernel(monkeypatch):
     assert [newton.newton_binomial_sum(7, st.n, "a") for st in orbit] == [st.a for st in orbit]
     assert [newton.newton_binomial_sum(7, st.n, "b") for st in orbit[1:]] == [
         st.b for st in orbit[1:]]
+
+
+def test_closed_form_checks_what_it_reads_off(monkeypatch):
+    # with a conjugate that keeps the radical part, (x + y) / 2 keeps it
+    # too; with one that moves the rational part by one, half of it is
+    # left over
+    monkeypatch.setattr(quad.QuadSurd, "conj", lambda x: x)
+    with pytest.raises(ConsistencyError, match="did not cancel"):
+        closed_form_term(SequenceName.A, 2, 3)
+    monkeypatch.setattr(quad.QuadSurd, "conj",
+                        lambda x: quad.QuadSurd(x.rat + 1, -x.coef, x.radicand))
+    with pytest.raises(ConsistencyError, match="non-integer"):
+        closed_form_term(SequenceName.U, 2, 3, 3)
 
 
 @pytest.mark.parametrize("route", [binomial_term, closed_form_term])
