@@ -282,19 +282,21 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int, root: int | None) -> Fr
     a and b >= 1, given root = perfect_square_root(h k)."""
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
-    # upper bound; L = p / (h g) is the root truncated to eight places.
+    # upper bound.
     if root is not None:
-        # k h = s^2 is a square, which covers every zero residual.  Then L
-        # is the root s / h itself, and the bound is |y| / (h b) with
-        # y = h a - s b, since h (h a^2 - k b^2) = y (h a + s b).  With a
-        # and b coprime, gcd(y, b) = gcd(h a, b) = gcd(h, b), so gcd(y, h b)
-        # divides gcd(y, h) gcd(h, b), and remainders by that give it.
-        # y = 0 gives 0 / 1, as h a = s b makes b divide h.
+        # k h = s^2 (s = root) is a square, which covers every zero
+        # residual.  Then L is the root s / h itself, and the bound is
+        # |y| / (h b) with y = h a - s b, since h (h a^2 - k b^2) =
+        # y (h a + s b).  With a and b coprime, gcd(y, b) = gcd(h a, b) =
+        # gcd(h, b), so gcd(y, h b) divides gcd(y, h) gcd(h, b), and
+        # remainders by that give it.  y = 0 gives 0 / 1, as h a = s b
+        # makes b divide h.
         y = abs(h * a - root * b)
         den = h * b
         shared = gcd(y % h, h) * gcd(b % h, h)
         shared = gcd(y % shared, den % shared, shared)
         return _coprime_fraction(y // shared, den // shared)
+    # Otherwise L = p / (h g) is the root truncated to eight places.
     guard = 10 ** 8
     radicand = k * h * guard * guard
     p = isqrt(radicand)
