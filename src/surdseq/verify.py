@@ -3,11 +3,20 @@
 Each suite sweeps one corner of the library over a k range and
 reports identity by identity instead of stopping at the first hit, so
 a regression shows up with its smallest counterexample attached.
+
+Every identity is one row of _TABLE, and every row is of one of two
+kinds.  A routes row compares two independent computations of the same
+numbers; tests/test_verify.py runs its two sides apart and checks that
+the library code they reach overlaps only in an allowlist of argument
+checks and dispatchers.  A relation row checks an algebraic relation
+on values already computed, and says in the table why its sides are
+not two routes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from math import prod
+from typing import Callable, Iterable, NamedTuple
 
 from .exact import perfect_square_root, require_int
 from .identities import (
@@ -45,320 +54,292 @@ from .sequences import (
     terms,
 )
 
-Case = tuple[int, int | None, object, object]
-
-
-def _sweep(identity: str, k: int, n_max: int, cases: Iterable[Case]) -> IdentityReport:
-    passes = 0
-    for n, m, lhs, rhs in cases:
-        if lhs != rhs:
-            return IdentityReport(identity, k, n_max, passes, FailureWitness(n, m, lhs, rhs))
-        passes += 1
-    return IdentityReport(identity, k, n_max, passes)
-
-
-def _alt_h(k: int) -> int:
-    # any small h coprime in spirit to k keeps the uv paths honest
-    return 2 if k % 2 else 3
-
-
-def _strategies_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
-    count = n_max + 1
-    h = _alt_h(k)
-    ab_spec, uv_spec = SeqSpec(Family.AB, k=k), SeqSpec(Family.UV, k=k, h=h)
-    ab = terms(ab_spec, count)
-    tilde = terms(SeqSpec(Family.AB_TILDE, k=k), count)
-    uv = terms(uv_spec, count)
-    a2 = second_order_iterate(*recurrence(ab_spec), 1, k + 1, count)
-    b2 = second_order_iterate(*recurrence(ab_spec), 1, 2, count)
-    u2 = second_order_iterate(*recurrence(uv_spec), 1, 1, count)
-    v2 = second_order_iterate(*recurrence(uv_spec), 0, h, count)
-
-    yield _sweep("a_second_order", k, n_max,
-                 ((n, None, ab[n].num, a2[n]) for n in range(count)))
-    yield _sweep("b_second_order", k, n_max,
-                 ((n, None, ab[n].den, b2[n]) for n in range(count)))
-    yield _sweep("u_second_order", k, n_max,
-                 ((n, None, uv[n].num, u2[n]) for n in range(count)))
-    yield _sweep("v_second_order", k, n_max,
-                 ((n, None, uv[n].den, v2[n]) for n in range(count)))
-    w = (k - 1) ** 2
-    yield _sweep("a_fourth_order", k, n_max,
-                 ((n, None, ab[n].num, 2 * (k + 1) * ab[n - 2].num - w * ab[n - 4].num)
-                  for n in range(4, count)))
-    yield _sweep("b_fourth_order", k, n_max,
-                 ((n, None, ab[n].den, 2 * (k + 1) * ab[n - 2].den - w * ab[n - 4].den)
-                  for n in range(4, count)))
-
-    pairs = (
-        ("a", SequenceName.A, [t.num for t in ab], 1),
-        ("b", SequenceName.B, [t.den for t in ab], 1),
-        ("at", SequenceName.A_TILDE, [t.num for t in tilde], 1),
-        ("bt", SequenceName.B_TILDE, [t.den for t in tilde], 1),
-        ("u", SequenceName.U, [t.num for t in uv], h),
-        ("v", SequenceName.V, [t.den for t in uv], h),
-    )
-    for label, name, values, h_arg in pairs:
-        yield _sweep(f"{label}_binomial", k, n_max,
-                     ((n, None, values[n], binomial_term(name, k, n, h_arg))
-                      for n in range(count)))
-        yield _sweep(f"{label}_closed_form", k, n_max,
-                     ((n, None, values[n], closed_form_term(name, k, n, h_arg))
-                      for n in range(count)))
-
-    genfuncs = (
-        ("a_genfunc", a_genfunc(k), [t.num for t in ab]),
-        ("b_genfunc", b_genfunc(k), [t.den for t in ab]),
-        ("a_genfunc_fourth", a_genfunc_fourth(k), [t.num for t in ab]),
-        ("b_genfunc_fourth", b_genfunc_fourth(k), [t.den for t in ab]),
-    )
-    for label, (numer, denom), values in genfuncs:
-        coeffs = genfunc_coeffs(numer, denom, count)
-        yield _sweep(label, k, n_max,
-                     ((n, None, values[n], coeffs[n]) for n in range(count)))
-
-    yield _sweep("tilde_completes_a", k, n_max,
-                 ((n, None, ab[n].num, tilde[n].num + tilde[n].den)
-                  for n in range(count)))
-    yield _sweep("tilde_completes_kb", k, n_max,
-                 ((n, None, k * ab[n].den, tilde[n].num + k * tilde[n].den)
-                  for n in range(count)))
-
-    half = n_max // 2
-    d_seq, u_seq, v_seq = (terms(SeqSpec(Family.W_FAMILY, k=k, seed=seed), half + 2)
-                           for seed in ((1, k + 1), (0, 2 * k), (0, 2)))
-    yield _sweep("interleave_a_even", k, n_max,
-                 ((n, None, ab[2 * n].num, d_seq[n] + u_seq[n]) for n in range(half + 1)))
-    yield _sweep("interleave_a_odd", k, n_max,
-                 ((n, None, ab[2 * n + 1].num, d_seq[n + 1]) for n in range(half)))
-    yield _sweep("interleave_b_even", k, n_max,
-                 ((n, None, ab[2 * n].den, d_seq[n] + v_seq[n]) for n in range(half + 1)))
-    yield _sweep("interleave_b_odd", k, n_max,
-                 ((n, None, ab[2 * n + 1].den, v_seq[n + 1]) for n in range(half)))
-    yield _sweep("interleave_u_is_kv", k, n_max,
-                 ((n, None, u_seq[n], k * v_seq[n]) for n in range(half + 1)))
-
-
-def _identities_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
-    count = 2 * n_max + 2
-    ab = terms(SeqSpec(Family.AB, k=k), count)
-    a = [t.num for t in ab]
-    b = [t.den for t in ab]
-
-    yield _sweep("pell_residual", k, n_max,
-                 ((n, None, a[n] ** 2 - k * b[n] ** 2, (1 - k) ** (n + 1))
-                  for n in range(n_max + 1)))
-    yield _sweep("cross_a_from_b", k, n_max,
-                 ((n, None, a[n], (k - 1) * b[n - 1] + b[n])
-                  for n in range(1, n_max + 1)))
-    yield _sweep("cross_kb_from_a", k, n_max,
-                 ((n, None, k * b[n], a[n] + (k - 1) * a[n - 1])
-                  for n in range(1, n_max + 1)))
-    yield _sweep("cross_b_midpoint", k, n_max,
-                 ((n, None, 2 * k * b[n], a[n + 1] + (k - 1) * a[n - 1])
-                  for n in range(1, n_max + 1)))
-    yield _sweep("index_double_a", k, n_max,
-                 ((n, None, a[2 * n], 2 * a[n - 1] * a[n] - (1 - k) ** n)
-                  for n in range(1, n_max + 1)))
-
-    def addition_cases() -> Iterator[Case]:
-        for m in range(1, n_max + 1):
-            for n in range(n_max + 1):
-                yield (n, m, b[m + n + 1],
-                       (k - 1) * b[m - 1] * b[n] + b[m] * b[n + 1])
-                yield (n, m, k * b[m + n + 1],
-                       (k - 1) * a[m - 1] * a[n] + a[m] * a[n + 1])
-
-    yield _sweep("index_addition", k, n_max, addition_cases())
-    yield _sweep("square_sum_b", k, n_max,
-                 ((m, m, b[2 * m], (k - 1) * b[m - 1] ** 2 + b[m] ** 2)
-                  for m in range(1, n_max + 1)))
-    yield _sweep("square_sum_a", k, n_max,
-                 ((m, m, k * b[2 * m], (k - 1) * a[m - 1] ** 2 + a[m] ** 2)
-                  for m in range(1, n_max + 1)))
-
-    def sqrt_double_cases() -> Iterator[Case]:
-        for n in range(1, n_max + 1):
-            pair = sqrt_double(k, n, a[n], b[n])
-            yield (n, None, pair.num, a[2 * n])
-            yield (n, None, pair.den, b[2 * n])
-
-    yield _sweep("sqrt_double_pair", k, n_max, sqrt_double_cases())
-
-    def jump_cases() -> Iterator[Case]:
-        step = max(1, n_max // 10)
-        for m in range(1, n_max + 1, step):
-            for n in range(0, n_max + 1, step):
-                pair = addition_jump(k, m, n)
-                yield (n, m, pair.num, a[m + n + 1])
-                yield (n, m, pair.den, b[m + n + 1])
-
-    yield _sweep("addition_jump_pair", k, n_max, jump_cases())
-
-    def fast_cases() -> Iterator[Case]:
-        for n in range(n_max + 1):
-            pair = fast_term(k, n)
-            yield (n, None, pair.num, a[n])
-            yield (n, None, pair.den, b[n])
-
-    yield _sweep("fast_term_matches", k, n_max, fast_cases())
-
-    def ladder_cases() -> Iterator[Case]:
-        levels = max(n_max.bit_length() - 1, 0)
-        for pair in two_power_ladder(k, levels):
-            yield (pair.n, None, pair.num, a[pair.n])
-            yield (pair.n, None, pair.den, b[pair.n])
-
-    yield _sweep("two_power_ladder", k, n_max, ladder_cases())
-
-
 _NEWTON_DEPTH_CAP = 8  # index n means 2^n-bit-scale terms; 8 is plenty
-
-
-def _newton_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
-    depth = min(n_max, _NEWTON_DEPTH_CAP)
-    states = newton_run(k, depth)
-    base = terms(SeqSpec(Family.AB, k=k), 2 ** depth)
-
-    def base_cases() -> Iterator[Case]:
-        for st in states[1:]:
-            pair = base[2 ** st.n - 1]
-            yield (st.n, None, st.a, pair.num)
-            yield (st.n, None, st.b, pair.den)
-
-    yield _sweep("newton_is_base_subsequence", k, n_max, base_cases())
-    yield _sweep("newton_residual_tower", k, n_max,
-                 ((st.n, None, st.a ** 2 - k * st.b ** 2, st.w)
-                  for st in states[1:]))
-    yield _sweep("newton_squared_shortcut", k, n_max,
-                 ((n, None, states[n].a, squared_shortcut(k, n, states[n - 1].a))
-                  for n in range(2, depth + 1)))
-    yield _sweep("newton_radical_b", k, n_max,
-                 ((n, None, states[n].b, b_from_sqrt(k, states[n - 1].b, n))
-                  for n in range(2, depth + 1)))
-    yield _sweep("newton_product_b", k, n_max,
-                 ((n, None, states[n].b, b_product_form(k, n))
-                  for n in range(depth + 1)))
-
-    def closed_cases() -> Iterator[Case]:
-        for st in states:
-            pair = newton_closed_form(k, st.n)
-            yield (st.n, None, st.a, pair[0])
-            yield (st.n, None, st.b, pair[1])
-
-    yield _sweep("newton_closed_form", k, n_max, closed_cases())
-
-    bdepth = min(depth, 6)  # the summations walk 2^n binomials
-
-    def binomial_cases() -> Iterator[Case]:
-        for n in range(bdepth + 1):
-            yield (n, None, states[n].a, newton_binomial_sum(k, n, "a"))
-        for n in range(1, bdepth + 1):
-            yield (n, None, states[n].b, newton_binomial_sum(k, n, "b"))
-
-    yield _sweep("newton_binomial", k, n_max, binomial_cases())
-    yield _sweep("newton_b_divisibility", k, n_max,
-                 ((st.n, None, st.b % 2 ** st.n, 0) for st in states))
-    yield _sweep("newton_square_certificate", k, n_max,
-                 ((n, None,
-                   perfect_square_root(k * states[n - 1].b ** 2 + states[n - 1].w),
-                   states[n - 1].a)
-                  for n in range(2, depth + 1)))
-
-    h = _alt_h(k)
-    gen = newton_run(k, depth, h)
-    yield _sweep("newton_generalized_residual", k, n_max,
-                 ((st.n, None, h * st.a ** 2 - k * st.b ** 2, st.w) for st in gen))
-
-
 _PRODUCT_DEPTH_CAP = 10
 
 
-def _products_for_r(r: int, n_max: int) -> Iterator[IdentityReport]:
-    depth = min(n_max, _PRODUCT_DEPTH_CAP)
-    states = cd_run(r, depth)
-
-    yield _sweep("product_pell_constant", r, n_max,
-                 ((st.n, None, st.c ** 2 - (r * r - 1) * st.d ** 2, 1)
-                  for st in states[1:]))
-
-    def d_formula_cases() -> Iterator[Case]:
-        prod = 1
-        for n in range(1, depth + 1):
-            if n > 1:
-                prod *= states[n - 1].c
-            yield (n, None, states[n].d, 2 ** (n - 1) * prod)
-
-    yield _sweep("product_d_formula", r, n_max, d_formula_cases())
-
-    def closed_cases() -> Iterator[Case]:
-        for st in states[1:]:
-            c, d = cd_closed_form(r, st.n)
-            yield (st.n, None, st.c, c)
-            yield (st.n, None, st.d, d)
-
-    yield _sweep("product_closed_form", r, n_max, closed_cases())
-    yield _sweep("product_partial_closed", r, n_max,
-                 ((st.n, None, st.partial, Fraction((r + 1) * st.d, st.c))
-                  for st in states[1:]))
-    yield _sweep("product_gap_formula", r, n_max,
-                 ((st.n, None,
-                   Fraction(r + 1, r - 1) - st.partial ** 2,
-                   Fraction(r + 1, (r - 1) * st.c ** 2))
-                  for st in states[1:]))
+def _ab(s: _Streams, count: int) -> list:
+    return terms(SeqSpec(Family.AB, k=s.k), count)
 
 
-def _reduction_for_k(k: int, n_max: int) -> Iterator[IdentityReport]:
-    if k % 2 == 0:
-        return  # the reduced pairs exist for odd k = 2m + 1 only
-    m = (k - 1) // 2
-    count = n_max + 1
-    ab = terms(SeqSpec(Family.AB, k=k), count)
-    cd = terms(SeqSpec(Family.CD_REDUCED, m=m), count)
-
-    def scale(n: int) -> int:
-        return 2 ** (n // 2 + n % 2)
-
-    yield _sweep("reduction_scale_c", k, n_max,
-                 ((n, None, scale(n) * cd[n].num, ab[n].num) for n in range(count)))
-    yield _sweep("reduction_scale_d", k, n_max,
-                 ((n, None, scale(n) * cd[n].den, ab[n].den) for n in range(count)))
-    yield _sweep("reduction_ratio_preserved", k, n_max,
-                 ((n, None, cd[n].num * ab[n].den, cd[n].den * ab[n].num)
-                  for n in range(count)))
-
-    half = (count - 1) // 2
-    seeded = (
-        ("reduction_c_even_seeded", [cd[2 * t].num for t in range(half + 1)], (1, 3 * m + 2)),
-        ("reduction_c_odd_seeded", [cd[2 * t + 1].num for t in range(half)],
-         (m + 1, m * m + 4 * m + 2)),
-        ("reduction_d_even_seeded", [cd[2 * t].den for t in range(half + 1)], (1, m + 2)),
-        ("reduction_d_odd_seeded", [cd[2 * t + 1].den for t in range(half)], (1, 2 * (m + 1))),
-    )
-    for label, values, seed in seeded:
-        expected = terms(SeqSpec(Family.U_FAMILY, m=m, seed=seed), half + 2)
-        yield _sweep(label, k, n_max,
-                     ((t, None, values[t], expected[t]) for t in range(len(values))))
-
-    for label, (numer, denom), values in (
-        ("reduction_genfunc_c", c_genfunc(m), [t.num for t in cd]),
-        ("reduction_genfunc_d", d_genfunc(m), [t.den for t in cd]),
-    ):
-        coeffs = genfunc_coeffs(numer, denom, count)
-        yield _sweep(label, k, n_max,
-                     ((n, None, values[n], coeffs[n]) for n in range(count)))
+def _u2(s: _Streams, seed: tuple[int, int]) -> list[int]:
+    return terms(SeqSpec(Family.U_FAMILY, m=s.m, seed=seed), s.half + 2)
 
 
-# each suite yields its reports for one k (r for products) of the range
-_SUITES: dict[str, Callable[[int, int], Iterator[IdentityReport]]] = {
-    "strategies": _strategies_for_k,
-    "identities": _identities_for_k,
-    "newton": _newton_for_k,
-    "products": _products_for_r,
-    "reduction": _reduction_for_k,
+def _w(s: _Streams, seed: tuple[int, int]) -> list[int]:
+    return terms(SeqSpec(Family.W_FAMILY, k=s.k, seed=seed), s.half + 2)
+
+
+# every stream a row reads, built from the suite's parameters alone
+_BUILD: dict[str, Callable[[_Streams], object]] = {
+    "ab": lambda s: _ab(s, s.count),
+    "tilde": lambda s: terms(SeqSpec(Family.AB_TILDE, k=s.k), s.count),
+    "uv": lambda s: terms(SeqSpec(Family.UV, k=s.k, h=s.h), s.count),
+    "a2": lambda s: second_order_iterate(*recurrence(SeqSpec(Family.AB, k=s.k)),
+                                         1, s.k + 1, s.count),
+    "b2": lambda s: second_order_iterate(*recurrence(SeqSpec(Family.AB, k=s.k)),
+                                         1, 2, s.count),
+    "u2": lambda s: second_order_iterate(*recurrence(SeqSpec(Family.UV, k=s.k, h=s.h)),
+                                         1, 1, s.count),
+    "v2": lambda s: second_order_iterate(*recurrence(SeqSpec(Family.UV, k=s.k, h=s.h)),
+                                         0, s.h, s.count),
+    "a_genfunc": lambda s: genfunc_coeffs(*a_genfunc(s.k), s.count),
+    "b_genfunc": lambda s: genfunc_coeffs(*b_genfunc(s.k), s.count),
+    "a_genfunc_fourth": lambda s: genfunc_coeffs(*a_genfunc_fourth(s.k), s.count),
+    "b_genfunc_fourth": lambda s: genfunc_coeffs(*b_genfunc_fourth(s.k), s.count),
+    "w_d": lambda s: _w(s, (1, s.k + 1)),
+    "w_u": lambda s: _w(s, (0, 2 * s.k)),
+    "w_v": lambda s: _w(s, (0, 2)),
+    "ab_wide": lambda s: _ab(s, 2 * s.n_max + 2),
+    "a": lambda s: [t.num for t in s.ab_wide],
+    "b": lambda s: [t.den for t in s.ab_wide],
+    "ladder": lambda s: two_power_ladder(s.k, s.levels),
+    "newton": lambda s: newton_run(s.k, s.depth),
+    "newton_h": lambda s: newton_run(s.k, s.depth, s.h),
+    "base": lambda s: _ab(s, 2 ** s.depth),
+    "orbit": lambda s: cd_run(s.k, s.pdepth),
+    "cd": lambda s: terms(SeqSpec(Family.CD_REDUCED, m=s.m), s.count),
+    "c_even": lambda s: _u2(s, (1, 3 * s.m + 2)),
+    "c_odd": lambda s: _u2(s, (s.m + 1, s.m * s.m + 4 * s.m + 2)),
+    "d_even": lambda s: _u2(s, (1, s.m + 2)),
+    "d_odd": lambda s: _u2(s, (1, 2 * (s.m + 1))),
+    "c_genfunc": lambda s: genfunc_coeffs(*c_genfunc(s.m), s.count),
+    "d_genfunc": lambda s: genfunc_coeffs(*d_genfunc(s.m), s.count),
 }
 
-SUITE_NAMES = tuple(_SUITES) + ("all",)
+
+class _Streams:
+    """A suite's parameters at one k (r for products), and the streams of
+    _BUILD, each built on first read and shared by every row after."""
+
+    def __init__(self, k: int, n_max: int) -> None:
+        self.k, self.n_max, self.count, self.half = k, n_max, n_max + 1, n_max // 2
+        self.m = (k - 1) // 2  # k = 2m + 1 in the reduction suite
+        # Any h other than 1 exercises the uv paths; for even k this h may
+        # share a factor with k (k = 6, 12), which no identity needs to avoid.
+        # perfbench/layers.py mirrors this h and both depth caps when it
+        # replays the sweep, so change the three together with it.
+        self.h = 2 if k % 2 else 3
+        self.depth = min(n_max, _NEWTON_DEPTH_CAP)
+        self.bdepth = min(self.depth, 6)  # the summations walk 2^n binomials
+        self.pdepth = min(n_max, _PRODUCT_DEPTH_CAP)
+        self.levels = max(n_max.bit_length() - 1, 0)
+        self.step = max(1, n_max // 10)
+
+    def __getattr__(self, name: str) -> object:
+        if name not in _BUILD:
+            raise AttributeError(name)
+        value = _BUILD[name](self)
+        setattr(self, name, value)
+        return value
+
+
+class _Row(NamedTuple):
+    """One identity: lhs(s, *key) == rhs(s, *key) for each key of keys(s).
+
+    A key is an index n, or (n, m, ...) where the witness shows m too;
+    keys depend on the parameters alone, never on a stream.  A side
+    that returns a tuple compares and counts component by component.
+    why is _ROUTES (empty) for a routes row; a relation row says there
+    why its two sides are not independent routes.
+    """
+
+    name: str
+    why: str
+    lhs: Callable[..., object]
+    rhs: Callable[..., object]
+    keys: Callable[[_Streams], Iterable] = lambda s: range(s.count)
+
+
+_ROUTES = ""
+_OWN = "the right side is built from the stream's own terms"
+_COUPLED = "tilde and ab both come from coupled_iterate"
+_TOWER = "a residual of the orbit against the w it carries"
+
+
+def _term_routes(label: str, name: SequenceName, stream: str, side: str) -> tuple[_Row, ...]:
+    """label_binomial and label_closed_form: one side of a coupled stream
+    against its binomial sum and its surd closed form."""
+    takes_h = stream == "uv"
+
+    def iterated(s: _Streams, n: int) -> int:
+        return getattr(getattr(s, stream)[n], side)
+
+    return (_Row(f"{label}_binomial", _ROUTES, iterated,
+                 lambda s, n: binomial_term(name, s.k, n, s.h if takes_h else 1)),
+            _Row(f"{label}_closed_form", _ROUTES, iterated,
+                 lambda s, n: closed_form_term(name, s.k, n, s.h if takes_h else 1)))
+
+
+def _addition(s: _Streams, n: int, m: int) -> tuple[int, int]:
+    # b and k b at m + n + 1 from the terms at m - 1, m, n and n + 1
+    a, b, k = s.a, s.b, s.k
+    return ((k - 1) * b[m - 1] * b[n] + b[m] * b[n + 1],
+            (k - 1) * a[m - 1] * a[n] + a[m] * a[n + 1])
+
+
+_TABLE: dict[str, tuple[_Row, ...]] = {
+    "strategies": (
+        _Row("a_second_order", _ROUTES, lambda s, n: s.ab[n].num, lambda s, n: s.a2[n]),
+        _Row("b_second_order", _ROUTES, lambda s, n: s.ab[n].den, lambda s, n: s.b2[n]),
+        _Row("u_second_order", _ROUTES, lambda s, n: s.uv[n].num, lambda s, n: s.u2[n]),
+        _Row("v_second_order", _ROUTES, lambda s, n: s.uv[n].den, lambda s, n: s.v2[n]),
+        _Row("a_fourth_order", _OWN, lambda s, n: s.ab[n].num,
+             lambda s, n: 2 * (s.k + 1) * s.ab[n - 2].num - (s.k - 1) ** 2 * s.ab[n - 4].num,
+             lambda s: range(4, s.count)),
+        _Row("b_fourth_order", _OWN, lambda s, n: s.ab[n].den,
+             lambda s, n: 2 * (s.k + 1) * s.ab[n - 2].den - (s.k - 1) ** 2 * s.ab[n - 4].den,
+             lambda s: range(4, s.count)),
+        *_term_routes("a", SequenceName.A, "ab", "num"),
+        *_term_routes("b", SequenceName.B, "ab", "den"),
+        *_term_routes("at", SequenceName.A_TILDE, "tilde", "num"),
+        *_term_routes("bt", SequenceName.B_TILDE, "tilde", "den"),
+        *_term_routes("u", SequenceName.U, "uv", "num"),
+        *_term_routes("v", SequenceName.V, "uv", "den"),
+        _Row("a_genfunc", _ROUTES, lambda s, n: s.ab[n].num, lambda s, n: s.a_genfunc[n]),
+        _Row("b_genfunc", _ROUTES, lambda s, n: s.ab[n].den, lambda s, n: s.b_genfunc[n]),
+        _Row("a_genfunc_fourth", _ROUTES,
+             lambda s, n: s.ab[n].num, lambda s, n: s.a_genfunc_fourth[n]),
+        _Row("b_genfunc_fourth", _ROUTES,
+             lambda s, n: s.ab[n].den, lambda s, n: s.b_genfunc_fourth[n]),
+        _Row("tilde_completes_a", _COUPLED,
+             lambda s, n: s.ab[n].num, lambda s, n: s.tilde[n].num + s.tilde[n].den),
+        _Row("tilde_completes_kb", _COUPLED,
+             lambda s, n: s.k * s.ab[n].den, lambda s, n: s.tilde[n].num + s.k * s.tilde[n].den),
+        _Row("interleave_a_even", _ROUTES, lambda s, n: s.ab[2 * n].num,
+             lambda s, n: s.w_d[n] + s.w_u[n], lambda s: range(s.half + 1)),
+        _Row("interleave_a_odd", _ROUTES, lambda s, n: s.ab[2 * n + 1].num,
+             lambda s, n: s.w_d[n + 1], lambda s: range(s.half)),
+        _Row("interleave_b_even", _ROUTES, lambda s, n: s.ab[2 * n].den,
+             lambda s, n: s.w_d[n] + s.w_v[n], lambda s: range(s.half + 1)),
+        _Row("interleave_b_odd", _ROUTES, lambda s, n: s.ab[2 * n + 1].den,
+             lambda s, n: s.w_v[n + 1], lambda s: range(s.half)),
+        _Row("interleave_u_is_kv", "both sides are second_order_iterate runs of one recurrence",
+             lambda s, n: s.w_u[n], lambda s, n: s.k * s.w_v[n], lambda s: range(s.half + 1)),
+    ),
+    "identities": (
+        _Row("pell_residual", "a residual of the stream against its closed value",
+             lambda s, n: s.a[n] ** 2 - s.k * s.b[n] ** 2, lambda s, n: (1 - s.k) ** (n + 1)),
+        _Row("cross_a_from_b", _OWN, lambda s, n: s.a[n],
+             lambda s, n: (s.k - 1) * s.b[n - 1] + s.b[n], lambda s: range(1, s.count)),
+        _Row("cross_kb_from_a", _OWN, lambda s, n: s.k * s.b[n],
+             lambda s, n: s.a[n] + (s.k - 1) * s.a[n - 1], lambda s: range(1, s.count)),
+        _Row("cross_b_midpoint", _OWN, lambda s, n: 2 * s.k * s.b[n],
+             lambda s, n: s.a[n + 1] + (s.k - 1) * s.a[n - 1], lambda s: range(1, s.count)),
+        _Row("index_double_a", _OWN, lambda s, n: s.a[2 * n],
+             lambda s, n: 2 * s.a[n - 1] * s.a[n] - (1 - s.k) ** n, lambda s: range(1, s.count)),
+        _Row("index_addition", _OWN, lambda s, n, m: (s.b[m + n + 1], s.k * s.b[m + n + 1]),
+             _addition, lambda s: ((n, m) for m in range(1, s.count) for n in range(s.count))),
+        _Row("square_sum_b", _OWN, lambda s, m, _: s.b[2 * m],
+             lambda s, m, _: (s.k - 1) * s.b[m - 1] ** 2 + s.b[m] ** 2,
+             lambda s: ((m, m) for m in range(1, s.count))),
+        _Row("square_sum_a", _OWN, lambda s, m, _: s.k * s.b[2 * m],
+             lambda s, m, _: (s.k - 1) * s.a[m - 1] ** 2 + s.a[m] ** 2,
+             lambda s: ((m, m) for m in range(1, s.count))),
+        _Row("sqrt_double_pair", "sqrt_double takes the stream's own (a_n, b_n)",
+             lambda s, n: sqrt_double(s.k, n, s.a[n], s.b[n])[1:],
+             lambda s, n: (s.a[2 * n], s.b[2 * n]), lambda s: range(1, s.count)),
+        _Row("addition_jump_pair", _ROUTES, lambda s, n, m: addition_jump(s.k, m, n)[1:],
+             lambda s, n, m: (s.a[m + n + 1], s.b[m + n + 1]),
+             lambda s: ((n, m) for m in range(1, s.count, s.step)
+                        for n in range(0, s.count, s.step))),
+        _Row("fast_term_matches", _ROUTES,
+             lambda s, n: fast_term(s.k, n)[1:], lambda s, n: (s.a[n], s.b[n])),
+        _Row("two_power_ladder", _ROUTES, lambda s, n: s.ladder[n.bit_length() - 1][1:],
+             lambda s, n: (s.a[n], s.b[n]), lambda s: (2 ** i for i in range(s.levels + 1))),
+    ),
+    "newton": (
+        _Row("newton_is_base_subsequence", _ROUTES, lambda s, n: (s.newton[n].a, s.newton[n].b),
+             lambda s, n: s.base[2 ** n - 1][1:], lambda s: range(1, s.depth + 1)),
+        _Row("newton_residual_tower", _TOWER,
+             lambda s, n: s.newton[n].a ** 2 - s.k * s.newton[n].b ** 2,
+             lambda s, n: s.newton[n].w, lambda s: range(1, s.depth + 1)),
+        _Row("newton_squared_shortcut", "squared_shortcut takes the orbit's own a_(n-1)",
+             lambda s, n: s.newton[n].a, lambda s, n: squared_shortcut(s.k, n, s.newton[n - 1].a),
+             lambda s: range(2, s.depth + 1)),
+        _Row("newton_radical_b", "b_from_sqrt takes the orbit's own b_(n-1)",
+             lambda s, n: s.newton[n].b, lambda s, n: b_from_sqrt(s.k, s.newton[n - 1].b, n),
+             lambda s: range(2, s.depth + 1)),
+        _Row("newton_product_b", "b_product_form multiplies the a terms of newton_run itself",
+             lambda s, n: s.newton[n].b, lambda s, n: b_product_form(s.k, n),
+             lambda s: range(s.depth + 1)),
+        _Row("newton_closed_form", _ROUTES, lambda s, n: (s.newton[n].a, s.newton[n].b),
+             lambda s, n: newton_closed_form(s.k, n), lambda s: range(s.depth + 1)),
+        _Row("newton_binomial", _ROUTES, lambda s, n, _, side: getattr(s.newton[n], side),
+             lambda s, n, _, side: newton_binomial_sum(s.k, n, side),
+             lambda s: [(n, None, "a") for n in range(s.bdepth + 1)]
+             + [(n, None, "b") for n in range(1, s.bdepth + 1)]),
+        _Row("newton_b_divisibility", "a property of the orbit's own b",
+             lambda s, n: s.newton[n].b % 2 ** n, lambda s, n: 0, lambda s: range(s.depth + 1)),
+        _Row("newton_square_certificate", "the root of the orbit's own k b^2 + w against its a",
+             lambda s, n: perfect_square_root(s.k * s.newton[n - 1].b ** 2 + s.newton[n - 1].w),
+             lambda s, n: s.newton[n - 1].a, lambda s: range(2, s.depth + 1)),
+        _Row("newton_generalized_residual", _TOWER,
+             lambda s, n: s.h * s.newton_h[n].a ** 2 - s.k * s.newton_h[n].b ** 2,
+             lambda s, n: s.newton_h[n].w, lambda s: range(s.depth + 1)),
+    ),
+    "products": (
+        _Row("product_pell_constant", "a residual of the orbit's own c and d",
+             lambda s, n: s.orbit[n].c ** 2 - (s.k * s.k - 1) * s.orbit[n].d ** 2,
+             lambda s, n: 1, lambda s: range(1, s.pdepth + 1)),
+        _Row("product_d_formula", "d against a product of the orbit's own earlier c",
+             lambda s, n: s.orbit[n].d,
+             lambda s, n: 2 ** (n - 1) * prod(st.c for st in s.orbit[1:n]),
+             lambda s: range(1, s.pdepth + 1)),
+        _Row("product_closed_form", _ROUTES, lambda s, n: (s.orbit[n].c, s.orbit[n].d),
+             lambda s, n: cd_closed_form(s.k, n), lambda s: range(1, s.pdepth + 1)),
+        _Row("product_partial_closed", "the running product against the orbit's own c and d",
+             lambda s, n: s.orbit[n].partial,
+             lambda s, n: Fraction((s.k + 1) * s.orbit[n].d, s.orbit[n].c),
+             lambda s: range(1, s.pdepth + 1)),
+        _Row("product_gap_formula", "the running product's gap against the orbit's own c",
+             lambda s, n: Fraction(s.k + 1, s.k - 1) - s.orbit[n].partial ** 2,
+             lambda s, n: Fraction(s.k + 1, (s.k - 1) * s.orbit[n].c ** 2),
+             lambda s: range(1, s.pdepth + 1)),
+    ),
+    "reduction": (
+        _Row("reduction_scale_c", _ROUTES,
+             lambda s, n: 2 ** ((n + 1) // 2) * s.cd[n].num, lambda s, n: s.ab[n].num),
+        _Row("reduction_scale_d", _ROUTES,
+             lambda s, n: 2 ** ((n + 1) // 2) * s.cd[n].den, lambda s, n: s.ab[n].den),
+        _Row("reduction_ratio_preserved", "each side multiplies terms of both cd and ab",
+             lambda s, n: s.cd[n].num * s.ab[n].den, lambda s, n: s.cd[n].den * s.ab[n].num),
+        _Row("reduction_c_even_seeded", _ROUTES, lambda s, t: s.cd[2 * t].num,
+             lambda s, t: s.c_even[t], lambda s: range(s.half + 1)),
+        _Row("reduction_c_odd_seeded", _ROUTES, lambda s, t: s.cd[2 * t + 1].num,
+             lambda s, t: s.c_odd[t], lambda s: range(s.half)),
+        _Row("reduction_d_even_seeded", _ROUTES, lambda s, t: s.cd[2 * t].den,
+             lambda s, t: s.d_even[t], lambda s: range(s.half + 1)),
+        _Row("reduction_d_odd_seeded", _ROUTES, lambda s, t: s.cd[2 * t + 1].den,
+             lambda s, t: s.d_odd[t], lambda s: range(s.half)),
+        _Row("reduction_genfunc_c", _ROUTES,
+             lambda s, n: s.cd[n].num, lambda s, n: s.c_genfunc[n]),
+        _Row("reduction_genfunc_d", _ROUTES,
+             lambda s, n: s.cd[n].den, lambda s, n: s.d_genfunc[n]),
+    ),
+}
+
+SUITE_NAMES = tuple(_TABLE) + ("all",)
+
+
+def _sweep(row: _Row, s: _Streams) -> IdentityReport:
+    """Compare row's sides at each key until the first difference."""
+    lhs_at, rhs_at, passes = row.lhs, row.rhs, 0
+    for key in row.keys(s):
+        if type(key) is tuple:
+            lhs, rhs = lhs_at(s, *key), rhs_at(s, *key)
+        else:
+            lhs, rhs = lhs_at(s, key), rhs_at(s, key)
+        if lhs == rhs:
+            passes += len(lhs) if type(lhs) is tuple else 1
+            continue
+        n, m = key[:2] if type(key) is tuple else (key, None)
+        for left, right in zip(lhs, rhs) if type(lhs) is tuple else ((lhs, rhs),):
+            if left != right:
+                return IdentityReport(row.name, s.k, s.n_max, passes,
+                                      FailureWitness(n, m, left, right))
+            passes += 1
+    return IdentityReport(row.name, s.k, s.n_max, passes)
 
 
 def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> list[IdentityReport]:
@@ -375,9 +356,11 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
     require_int("n_max", n_max, 1)
     if k_max < k_min:
         raise ValueError(f"empty k range: {k_min}..{k_max}")
-    names = list(_SUITES) if name == "all" else [name]
+    names = list(_TABLE) if name == "all" else [name]
     out: list[IdentityReport] = []
     for suite in names:
         for k in range(k_min, k_max + 1):
-            out.extend(_SUITES[suite](k, n_max))
+            if suite != "reduction" or k % 2:  # reduced pairs exist for odd k = 2m + 1 only
+                s = _Streams(k, n_max)
+                out.extend(_sweep(row, s) for row in _TABLE[suite])
     return out

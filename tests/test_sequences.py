@@ -1,7 +1,7 @@
 """Sequence families and their four evaluation strategies."""
 import pytest
 
-from surdseq import identities, newton, quad, sequences
+from surdseq import quad
 from surdseq.exact import ConsistencyError
 from surdseq.sequences import (
     Family,
@@ -141,28 +141,6 @@ def test_binomial_and_closed_match_iteration(name, k, h):
     for n, expected in enumerate(_iterated(name, k, h, 41)):
         assert binomial_term(name, k, n, h) == expected
         assert closed_form_term(name, k, n, h) == expected
-
-
-def test_binomial_and_closed_share_no_kernel(monkeypatch):
-    # neither route may reach the surd kernel, the coupled stream or
-    # fast_term, or an identity would compare a route with itself
-    h_of = {name: 2 if name in (SequenceName.U, SequenceName.V) else 1 for name in SequenceName}
-    expected = {name: _iterated(name, 7, h, 12) for name, h in h_of.items()}
-    orbit = newton.newton_run(7, 4)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("an independent route reached a shared kernel")
-
-    for module in (sequences, newton, quad, identities):
-        for attr in ("surd_pow", "surd_square", "coupled_stream", "fast_term"):
-            if hasattr(module, attr):
-                monkeypatch.setattr(module, attr, forbidden)
-    for name, h in h_of.items():
-        assert [binomial_term(name, 7, n, h) for n in range(12)] == expected[name]
-        assert [closed_form_term(name, 7, n, h) for n in range(12)] == expected[name]
-    assert [newton.newton_binomial_sum(7, st.n, "a") for st in orbit] == [st.a for st in orbit]
-    assert [newton.newton_binomial_sum(7, st.n, "b") for st in orbit[1:]] == [
-        st.b for st in orbit[1:]]
 
 
 def test_closed_form_checks_what_it_reads_off(monkeypatch):
