@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="race the convergent engines")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--digits", type=int, required=True)
-    p.add_argument("--methods", default="linear,jump,newton",
+    p.add_argument("--methods", default=",".join(m.value for m in Method),
                    help="comma separated method names")
     add_format(p)
     p.set_defaults(func=cmd_bench)

@@ -1,8 +1,8 @@
 """Arithmetic in Q(sqrt(rad)): exact values rat + coef*sqrt(rad).
 
 The radicand is carried along unsimplified, so sqrt(4) stays a formal
-symbol instead of collapsing to 2.  Mixing two different radicands in
-one operation is an error; an int or Fraction may stand on the right.
+symbol instead of collapsing to 2.  QuadSurd only multiplies and
+powers, and multiplying two different radicands is an error.
 surd_square and surd_pow are the integer kernel for surd powers, on
 plain ints; binomial_part reaches the same numbers by binomial sums.
 """
@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import comb
 
 from .exact import require_int
-
-_Scalar = (int, Fraction)
 
 
 def surd_square(p: int, q: int, d: int) -> tuple[int, int]:
@@ -64,50 +62,21 @@ class QuadSurd:
         object.__setattr__(self, "rat", Fraction(self.rat))
         object.__setattr__(self, "coef", Fraction(self.coef))
 
-    @classmethod
-    def from_scalar(cls, value: int | Fraction, radicand: int) -> QuadSurd:
-        return cls(Fraction(value), Fraction(0), radicand)
-
-    def _coerce(self, other: object) -> QuadSurd | None:
-        if isinstance(other, QuadSurd):
-            if other.radicand != self.radicand:
-                raise ValueError(
-                    f"cannot combine radicands {self.radicand} and {other.radicand}"
-                )
-            return other
-        if isinstance(other, _Scalar):
-            return QuadSurd.from_scalar(other, self.radicand)
-        return None
-
-    def __add__(self, other: object) -> QuadSurd:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadSurd(self.rat + o.rat, self.coef + o.coef, self.radicand)
-
-    def __neg__(self) -> QuadSurd:
-        return QuadSurd(-self.rat, -self.coef, self.radicand)
-
-    def __sub__(self, other: object) -> QuadSurd:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
     def __mul__(self, other: object) -> QuadSurd:
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, QuadSurd):
             return NotImplemented
+        if other.radicand != self.radicand:
+            raise ValueError(f"cannot combine radicands {self.radicand} and {other.radicand}")
         return QuadSurd(
-            self.rat * o.rat + self.coef * o.coef * self.radicand,
-            self.rat * o.coef + self.coef * o.rat,
+            self.rat * other.rat + self.coef * other.coef * self.radicand,
+            self.rat * other.coef + self.coef * other.rat,
             self.radicand,
         )
 
     def __pow__(self, e: int) -> QuadSurd:
         """self^e for e >= 0, squaring the base only while bits of e remain."""
         require_int("e", e, 0)
-        result = QuadSurd.from_scalar(1, self.radicand)
+        result = QuadSurd(1, 0, self.radicand)
         base = self
         while True:
             if e & 1:
@@ -116,7 +85,3 @@ class QuadSurd:
             if not e:
                 return result
             base = base * base
-
-    def conj(self) -> QuadSurd:
-        """Conjugate: flips the sign of the sqrt coefficient."""
-        return QuadSurd(self.rat, -self.coef, self.radicand)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -229,22 +228,16 @@ def binomial_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
 
 def closed_form_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
     """One term at full index n, read off x = (1 + sqrt(K))^e in QuadSurd
-    algebra through its conjugate y: the rational part is (x + y)/2, the
-    sqrt(K) coefficient sqrt(K) (x - y)/(2K).  That the radical part
-    cancels and an integer is left is checked rather than assumed.
+    algebra: the sqrt(K) coefficient for an odd part, the rational part
+    otherwise, times the term's factor.  That the part is an integer is
+    checked rather than assumed.
     """
     rad, e, odd, factor = _term_form(name, k, n, h)
     x = QuadSurd(1, 1, rad) ** e
-    y = x.conj()
-    if odd:
-        term = QuadSurd(0, 1, rad) * (x - y) * Fraction(factor, 2 * rad)
-    else:
-        term = (x + y) * Fraction(factor, 2)
-    if term.coef != 0:
-        raise ConsistencyError(f"radical part did not cancel: {term}")
-    if term.rat.denominator != 1:
-        raise ConsistencyError(f"closed form produced a non-integer: {term.rat}")
-    return int(term.rat)
+    part = x.coef if odd else x.rat
+    if part.denominator != 1:
+        raise ConsistencyError(f"closed form produced a non-integer: {part}")
+    return factor * part.numerator
 
 
 def genfunc_coeffs(numer: Sequence[int], denom: Sequence[int], count: int) -> list[int]:

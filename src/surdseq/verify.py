@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, Iterable, NamedTuple
 
-from .exact import perfect_square_root, require_int
+from .exact import ConsistencyError, perfect_square_root, require_int
 from .identities import (
     FailureWitness,
     IdentityReport,
@@ -323,22 +323,32 @@ SUITE_NAMES = tuple(_TABLE) + ("all",)
 
 
 def _sweep(row: _Row, s: _Streams) -> IdentityReport:
-    """Compare row's sides at each key until the first difference."""
+    """Compare row's sides at each key until the first difference.  A side
+    that raises ValueError or ConsistencyError fails the row at that key,
+    with the message as its value; a side not reached by then is None."""
     lhs_at, rhs_at, passes = row.lhs, row.rhs, 0
-    for key in row.keys(s):
-        if type(key) is tuple:
-            lhs, rhs = lhs_at(s, *key), rhs_at(s, *key)
-        else:
-            lhs, rhs = lhs_at(s, key), rhs_at(s, key)
-        if lhs == rhs:
-            passes += len(lhs) if type(lhs) is tuple else 1
-            continue
+    try:
+        for key in row.keys(s):
+            lhs = rhs = None
+            if type(key) is tuple:
+                lhs = lhs_at(s, *key)
+                rhs = rhs_at(s, *key)
+            else:
+                lhs = lhs_at(s, key)
+                rhs = rhs_at(s, key)
+            if lhs == rhs:
+                passes += len(lhs) if type(lhs) is tuple else 1
+                continue
+            n, m = key[:2] if type(key) is tuple else (key, None)
+            for left, right in zip(lhs, rhs) if type(lhs) is tuple else ((lhs, rhs),):
+                if left != right:
+                    return IdentityReport(row.name, s.k, s.n_max, passes,
+                                          FailureWitness(n, m, left, right))
+                passes += 1
+    except (ValueError, ConsistencyError) as exc:
         n, m = key[:2] if type(key) is tuple else (key, None)
-        for left, right in zip(lhs, rhs) if type(lhs) is tuple else ((lhs, rhs),):
-            if left != right:
-                return IdentityReport(row.name, s.k, s.n_max, passes,
-                                      FailureWitness(n, m, left, right))
-            passes += 1
+        lhs, rhs = (str(exc), None) if lhs is None else (lhs, str(exc))
+        return IdentityReport(row.name, s.k, s.n_max, passes, FailureWitness(n, m, lhs, rhs))
     return IdentityReport(row.name, s.k, s.n_max, passes)
 
 
@@ -347,7 +357,7 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
 
     n_max bounds the swept index; the newton and products suites cap
     their depth internally because their terms double in size per
-    step.
+    step.  A suite with no k to run on in the range is a ValueError.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; have {', '.join(SUITE_NAMES)}")
@@ -363,4 +373,7 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
             if suite != "reduction" or k % 2:  # reduced pairs exist for odd k = 2m + 1 only
                 s = _Streams(k, n_max)
                 out.extend(_sweep(row, s) for row in _TABLE[suite])
+    if not out:
+        raise ValueError(f"suite {name!r} has no k in {k_min}..{k_max}: "
+                         "reduction runs on odd k only")
     return out

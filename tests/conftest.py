@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import settings
 
-from surdseq import approx, cli
+from surdseq import approx, cli, verify
 
 settings.register_profile("ci", print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -30,3 +30,16 @@ def disagreeing_jump(monkeypatch):
         return result
 
     monkeypatch.setattr(cli, "approximate", approximate)
+
+
+@pytest.fixture
+def corrupt_ab_wide(monkeypatch):
+    """verify's ab_wide stream with b_5 one too large at k = 2 only:
+    (a_5, b_5) = (99, 71) is then no pair of the family, and sqrt_double
+    raises on it."""
+    honest = verify._BUILD["ab_wide"]
+
+    def corrupted(s):
+        return [t._replace(den=t.den + 1) if (s.k, t.n) == (2, 5) else t for t in honest(s)]
+
+    monkeypatch.setitem(verify._BUILD, "ab_wide", corrupted)

@@ -296,6 +296,20 @@ def test_verify_usage_errors(capsys):
                        "--k-min", "5", "--k-max", "3")
     assert code == 2 and "empty" in err
     assert run(capsys, "verify", "--suite", "identities", "--n-max", "0")[0] == 2
+    code, out, err = run(capsys, "verify", "--suite", "reduction",
+                         "--k-min", "2", "--k-max", "2")
+    assert code == 2 and out == "" and "no k in 2..2" in err
+
+
+@pytest.mark.usefixtures("corrupt_ab_wide")
+def test_verify_reports_a_raising_side_as_a_failure(capsys):
+    # a side that raises is the identity's failure, with its message as
+    # the witness, not a usage error
+    code, out, err = run(capsys, "verify", "--suite", "identities",
+                         "--k-min", "2", "--k-max", "3", "--n-max", "8")
+    assert code == 1 and err == ""
+    assert ("FAIL sqrt_double_pair 2 8 8 n=5 "
+            "lhs=(99, 71) is not the pair at index 5 for k=2 rhs=None") in out.splitlines()
 
 
 def test_bench_plain_and_csv(capsys):

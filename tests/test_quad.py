@@ -36,56 +36,37 @@ def test_epsilon_squares_to_alpha():
 
 def test_mixed_radicands_rejected():
     with pytest.raises(ValueError):
-        QuadSurd(1, 1, 2) + QuadSurd(1, 1, 3)
-    with pytest.raises(ValueError):
         QuadSurd(1, 1, 2) * QuadSurd(0, 1, 5)
 
 
-def test_scalar_mixing():
+def test_only_surds_multiply():
     x = QuadSurd(1, 1, 2)
-    assert x + 1 == QuadSurd(2, 1, 2)
-    assert x * 3 == QuadSurd(3, 3, 2)
-    assert x - Fraction(1, 2) == QuadSurd(Fraction(1, 2), 1, 2)
-    assert x * Fraction(1, 2) == QuadSurd(Fraction(1, 2), Fraction(1, 2), 2)
-    # scalars stand on the right only
     with pytest.raises(TypeError):
-        1 + x
-
-
-def test_norm_and_conjugate():
-    x = QuadSurd(3, 1, 2)
-    assert x.conj() == QuadSurd(3, -1, 2)
-    assert x * x.conj() == QuadSurd.from_scalar(7, 2)
+        x * 3
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * x
 
 
 def test_power_rules():
     x = QuadSurd(2, 1, 3)
-    assert x ** 0 == QuadSurd.from_scalar(1, 3)
+    assert x ** 0 == QuadSurd(1, 0, 3)
     assert x ** 1 == x
     assert x ** 5 == x * x * x * x * x
     with pytest.raises(ValueError):
         x ** -1
 
 
-@given(surds, surds.map(lambda s: s), rationals)
-def test_ring_laws(x, y, c):
+@given(surds, surds, surds)
+def test_ring_laws(x, y, z):
     y = QuadSurd(y.rat, y.coef, x.radicand)
-    assert x + y == y + x
+    z = QuadSurd(z.rat, z.coef, x.radicand)
     assert x * y == y * x
-    assert (x + y) * c == x * c + y * c
-    assert x * (y + c) == x * y + x * c
-
-
-@given(surds, surds)
-def test_conjugation_is_a_ring_map(x, y):
-    y = QuadSurd(y.rat, y.coef, x.radicand)
-    assert (x + y).conj() == x.conj() + y.conj()
-    assert (x * y).conj() == x.conj() * y.conj()
+    assert (x * y) * z == x * (y * z)
 
 
 @given(surds, st.integers(min_value=0, max_value=6))
 def test_power_matches_repeated_product(x, e):
-    expected = QuadSurd.from_scalar(1, x.radicand)
+    expected = QuadSurd(1, 0, x.radicand)
     for _ in range(e):
         expected = expected * x
     assert x ** e == expected

@@ -1,4 +1,6 @@
 """Sequence families and their four evaluation strategies."""
+from fractions import Fraction
+
 import pytest
 
 from surdseq import quad
@@ -144,16 +146,13 @@ def test_binomial_and_closed_match_iteration(name, k, h):
 
 
 def test_closed_form_checks_what_it_reads_off(monkeypatch):
-    # with a conjugate that keeps the radical part, (x + y) / 2 keeps it
-    # too; with one that moves the rational part by one, half of it is
-    # left over
-    monkeypatch.setattr(quad.QuadSurd, "conj", lambda x: x)
-    with pytest.raises(ConsistencyError, match="did not cancel"):
-        closed_form_term(SequenceName.A, 2, 3)
-    monkeypatch.setattr(quad.QuadSurd, "conj",
-                        lambda x: quad.QuadSurd(x.rat + 1, -x.coef, x.radicand))
+    # a power with a half in the part a term reads off is no term
+    half = quad.QuadSurd(Fraction(1, 2), Fraction(3, 2), 2)
+    monkeypatch.setattr(quad.QuadSurd, "__pow__", lambda x, e: half)
     with pytest.raises(ConsistencyError, match="non-integer"):
-        closed_form_term(SequenceName.U, 2, 3, 3)
+        closed_form_term(SequenceName.A, 2, 3)
+    with pytest.raises(ConsistencyError, match="non-integer"):
+        closed_form_term(SequenceName.V, 2, 3, 3)
 
 
 @pytest.mark.parametrize("route", [binomial_term, closed_form_term])

@@ -56,6 +56,14 @@ def test_run_suite_validation():
         run_suite("identities", n_max=0)
 
 
+def test_a_suite_with_no_k_to_run_on_is_rejected():
+    # reduced pairs exist for odd k only; a sweep that checks nothing
+    # must not read as a pass
+    with pytest.raises(ValueError, match="no k in 2..2"):
+        run_suite("reduction", 2, 2, 8)
+    assert {r.k for r in run_suite("all", 2, 2, 4)} == {2}
+
+
 def _demo(keys, lhs, rhs):
     return _sweep(_Row("demo", "synthetic", lhs, rhs, lambda s: keys), _Streams(2, 3))
 
@@ -82,6 +90,19 @@ def test_sweep_compares_pairs_component_by_component():
     assert report.passes == 3
     assert (report.failure.n, report.failure.m) == (1, None)
     assert (report.failure.lhs, report.failure.rhs) == (5, 6)
+
+
+@pytest.mark.usefixtures("corrupt_ab_wide")
+def test_a_raising_side_fails_its_row_at_that_key():
+    reports = run_suite("identities", 2, 3, 8)
+    assert len(reports) == 2 * 12
+    assert all(r.passed for r in reports if r.k == 3)
+    raised = next(r for r in reports if r.identity == "sqrt_double_pair" and r.k == 2)
+    assert raised.passes == 8  # n = 1..4, two components each
+    failure = raised.failure
+    assert (failure.n, failure.m) == (5, None)
+    assert failure.lhs == "(99, 71) is not the pair at index 5 for k=2"
+    assert failure.rhs is None  # the right side was not reached
 
 
 def test_interleave_identities_tile_the_base_pair():
@@ -195,3 +216,32 @@ def test_every_row_can_fail(monkeypatch, suite, row, side):
     assert [r.identity for r in failed] == [row.name]
     assert (failed[0].failure.n, failed[0].failure.m, failed[0].passes) == (
         first[0], first[1] if len(first) > 1 else None, 0)
+
+
+@pytest.mark.parametrize("side,error", [("lhs", ValueError), ("rhs", exact.ConsistencyError)])
+@pytest.mark.parametrize("suite,row", ROWS, ids=map(_row_id, ROWS))
+def test_every_row_fails_where_a_side_raises(monkeypatch, suite, row, side, error):
+    # one side raising at the first case fails that row there, alone,
+    # with the message in that side's place
+    k, n_max = 3, 8
+    first = next(iter(row.keys(_Streams(k, n_max))))
+    first = first if type(first) is tuple else (first,)
+    honest = getattr(row, side)
+
+    def raising(s, *key):
+        if key == first:
+            raise error("raised at the first case")
+        return honest(s, *key)
+
+    monkeypatch.setitem(_TABLE, suite, tuple(
+        r._replace(**{side: raising}) if r is row else r for r in _TABLE[suite]))
+    failed = [r for r in run_suite(suite, k, k, n_max) if not r.passed]
+    assert [r.identity for r in failed] == [row.name]
+    failure = failed[0].failure
+    assert (failure.n, failure.m, failed[0].passes) == (
+        first[0], first[1] if len(first) > 1 else None, 0)
+    assert getattr(failure, side) == "raised at the first case"
+    if side == "lhs":
+        assert failure.rhs is None
+    else:
+        assert failure.lhs == row.lhs(_Streams(k, n_max), *first)
