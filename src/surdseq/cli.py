@@ -4,7 +4,7 @@ Five subcommands: seq prints terms, approx prints certified digits,
 verify sweeps identity suites, bench races the convergent engines,
 oeis compares regenerated terms against the bundled reference files.
 Exit codes: 0 success, 1 a verification or consistency failure, 2 a
-usage or input problem.
+usage or input problem, 141 (128 + SIGPIPE) a closed output pipe.
 """
 from __future__ import annotations
 
@@ -42,59 +42,44 @@ def _plain_int(value: int) -> str:
     return text
 
 
-def _plain_value(value: object) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return _plain_int(value)
+def _cell(value: object, fmt: str) -> object:
+    """value as fmt prints it.  Ints, and each side of a Fraction, go
+    through _plain_int in plain and through decimal_str in json and csv,
+    so every cell prints under any int->str cap.  A whole Fraction prints
+    as n, except in json, which writes n/1; a float stays a float in json."""
     if isinstance(value, Fraction):
-        # each side as an int prints, which is str(value) when both are short
-        if value.denominator == 1:
-            return _plain_int(value.numerator)
-        return f"{_plain_int(value.numerator)}/{_plain_int(value.denominator)}"
-    return str(value)
-
-
-def _json_value(value: object) -> object:
-    if isinstance(value, bool) or isinstance(value, float):
-        return value
+        if value.denominator != 1 or fmt == "json":
+            return f"{_cell(value.numerator, fmt)}/{_cell(value.denominator, fmt)}"
+        value = value.numerator
     if isinstance(value, int):
-        return decimal_str(value)
-    if isinstance(value, Fraction):
-        return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
+        return _plain_int(value) if fmt == "plain" else decimal_str(value)
+    if isinstance(value, float) and fmt != "csv":
+        return value if fmt == "json" else f"{value:.6f}"
     return str(value)
 
 
-def _csv_value(value: object) -> str:
-    """str(value), with ints and the sides of a Fraction through decimal_str,
-    so csv cells and verify witnesses print under any int->str cap."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = value.numerator  # str() prints a whole Fraction as n, json as n/1
-    return str(_json_value(value))
-
-
-def _emit(args: argparse.Namespace, command: str, params: dict,
-          columns: list[str], rows: list[dict], record: bool = False) -> None:
+def _emit(args: argparse.Namespace, params: dict, rows: list[dict],
+          record: bool = False) -> None:
+    """Print rows under args.format; the columns are the first row's keys."""
     fmt = args.format
     if fmt == "json":
         doc = {
-            "command": command,
+            "command": args.command,
             "params": params,
-            "rows": [{c: _json_value(row[c]) for c in columns} for row in rows],
+            "rows": [{c: _cell(v, fmt) for c, v in row.items()} for row in rows],
         }
         print(json.dumps(doc))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_value(row[c]) for c in columns])
+        writer.writerow(rows[0])
+        writer.writerows([_cell(v, fmt) for v in row.values()] for row in rows)
     elif record:
         for row in rows:
-            for c in columns:
-                print(f"{c} {_plain_value(row[c])}")
+            for c, v in row.items():
+                print(f"{c} {_cell(v, fmt)}")
     else:
         for row in rows:
-            print(" ".join(_plain_value(row[c]) for c in columns))
+            print(" ".join(_cell(v, fmt) for v in row.values()))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -122,12 +107,10 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if args.seed is not None:
         params["seed"] = list(args.seed)
     if spec.seed is None:  # only the w and u2 families take seeds, and give plain values
-        columns = ["n", "a", "b"]
         rows = [{"n": t.n, "a": t.num, "b": t.den} for t in values]
     else:
-        columns = ["n", "value"]
         rows = [{"n": n, "value": v} for n, v in enumerate(values)]
-    _emit(args, "seq", params, columns, rows)
+    _emit(args, params, rows)
     return 0
 
 
@@ -143,9 +126,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
         "h": result.h,
         "error_bound": result.error_bound,
     }
-    _emit(args, "approx", params,
-          ["digits", "method", "n_used", "k", "h", "error_bound"],
-          [row], record=True)
+    _emit(args, params, [row], record=True)
     return 0
 
 
@@ -162,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             failed += 1
             f = rep.failure
             at = f"n={f.n}" if f.m is None else f"n={f.n} m={f.m}"
-            witness = f"{at} lhs={_csv_value(f.lhs)} rhs={_csv_value(f.rhs)}"
+            witness = f"{at} lhs={_cell(f.lhs, 'csv')} rhs={_cell(f.rhs, 'csv')}"
         rows.append({
             "result": "PASS" if rep.passed else "FAIL",
             "identity": rep.identity,
@@ -171,8 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "passes": rep.passes,
             "witness": witness,
         })
-    _emit(args, "verify", params,
-          ["result", "identity", "k", "n_max", "passes", "witness"], rows)
+    _emit(args, params, rows)
     if args.format == "plain":
         print(f"{len(rows) - failed} passed, {failed} failed")
     return 1 if failed else 0
@@ -199,8 +179,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                                    f"{rows[0]['digits']} vs {result.digits}")
     params = {"k": args.k, "digits": args.digits,
               "methods": [m.value for m in methods]}
-    _emit(args, "bench", params,
-          ["method", "k", "digits_requested", "n_used", "wall_time_s", "digits"], rows)
+    _emit(args, params, rows)
     return 0
 
 
@@ -221,7 +200,7 @@ def cmd_oeis(args: argparse.Namespace) -> int:
             mismatched += 1
         rows.append({"id": series_id, "terms": len(expected),
                      "result": "PASS" if ok else "FAIL"})
-    _emit(args, "oeis", params, ["id", "terms", "result"], rows)
+    _emit(args, params, rows)
     return 1 if mismatched else 0
 
 
@@ -312,7 +291,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: point stdout at devnull so the
+        # interpreter's last flush does not raise again, and exit as a
+        # tool that SIGPIPE ends would (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

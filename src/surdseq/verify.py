@@ -357,7 +357,8 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
 
     n_max bounds the swept index; the newton and products suites cap
     their depth internally because their terms double in size per
-    step.  A suite with no k to run on in the range is a ValueError.
+    step.  A suite with no k to run on in the range, or with a row that
+    has no case at this n_max, is a ValueError.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; have {', '.join(SUITE_NAMES)}")
@@ -367,6 +368,11 @@ def run_suite(name: str, k_min: int = 2, k_max: int = 12, n_max: int = 30) -> li
     if k_max < k_min:
         raise ValueError(f"empty k range: {k_min}..{k_max}")
     names = list(_TABLE) if name == "all" else [name]
+    s = _Streams(k_min, n_max)  # keys depend on n_max alone, and build no stream
+    empty = [row.name for suite in names for row in _TABLE[suite]
+             if not any(True for _ in row.keys(s))]
+    if empty:
+        raise ValueError(f"n_max {n_max} gives no case to {', '.join(empty)}")
     out: list[IdentityReport] = []
     for suite in names:
         for k in range(k_min, k_max + 1):

@@ -14,7 +14,7 @@ import pytest
 import surdseq
 from surdseq.approx import Method, approximate
 from surdseq import cli
-from surdseq.cli import _csv_value, _json_value, _plain_value, main
+from surdseq.cli import _cell, main
 from surdseq.identities import FailureWitness, IdentityReport
 from surdseq.newton import newton_run
 
@@ -178,18 +178,17 @@ def test_plain_ints_match_str():
     for bits in range(1, 1500, 7):
         values += [rng.getrandbits(bits), -rng.getrandbits(bits)]
     for value in values:
-        assert _plain_value(value) == plain_reference(value), value
-    assert _plain_value(True) == "True"
+        assert _cell(value, "plain") == plain_reference(value), value
 
 
 def test_plain_fraction_cuts_each_long_side():
     short, long_ = 15625, 3 ** 400
-    assert _plain_value(Fraction(short, long_)) == f"{short}/{plain_reference(long_)}"
-    assert _plain_value(Fraction(long_, short)) == f"{plain_reference(long_)}/{short}"
-    assert _plain_value(Fraction(-long_, 7 ** 300)) == (
+    assert _cell(Fraction(short, long_), "plain") == f"{short}/{plain_reference(long_)}"
+    assert _cell(Fraction(long_, short), "plain") == f"{plain_reference(long_)}/{short}"
+    assert _cell(Fraction(-long_, 7 ** 300), "plain") == (
         f"{plain_reference(-long_)}/{plain_reference(7 ** 300)}")
-    assert _plain_value(Fraction(long_)) == plain_reference(long_)
-    assert _plain_value(Fraction(-3, 4)) == "-3/4"
+    assert _cell(Fraction(long_), "plain") == plain_reference(long_)
+    assert _cell(Fraction(-3, 4), "plain") == "-3/4"
 
 
 def test_approx_readme_example_plain(capsys):
@@ -230,13 +229,12 @@ def test_json_and_csv_values_print_as_str_does():
     # quirks included: json writes a whole Fraction as "n/1", csv as n
     long = 7 ** 3000 + 12345
     for n in (0, 1, -1, 10 ** 639, 10 ** 640, -(10 ** 640), long, -long):
-        assert _json_value(n) == str(n) == _csv_value(n)
+        assert _cell(n, "json") == str(n) == _cell(n, "csv")
         for d in (1, 3, long):
-            assert _json_value(Fraction(n, d)) == (
+            assert _cell(Fraction(n, d), "json") == (
                 f"{Fraction(n, d).numerator}/{Fraction(n, d).denominator}")
-            assert _csv_value(Fraction(n, d)) == str(Fraction(n, d))
-    assert _json_value(True) is True and _csv_value(True) == "True"
-    assert _json_value(2.5) == 2.5 and _csv_value(2.5) == "2.5"
+            assert _cell(Fraction(n, d), "csv") == str(Fraction(n, d))
+    assert _cell(2.5, "json") == 2.5 and _cell(2.5, "csv") == "2.5"
 
 
 @pytest.mark.parametrize("module", ["surdseq", "surdseq.cli"])
@@ -248,6 +246,20 @@ def test_python_dash_m_runs_the_cli(capsys, module):
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (done.returncode, done.stdout) == (code, out)
     assert out.startswith("digits 1.4142135623\n")
+
+
+def test_a_closed_output_pipe_exits_141_quietly():
+    # 20000 ab terms print about 3 MB, more than a pipe holds, so the
+    # CLI is still writing when the reader goes away
+    src = str(Path(surdseq.__file__).resolve().parent.parent)
+    with subprocess.Popen([sys.executable, "-m", "surdseq", "seq", "--family", "ab",
+                           "--k", "2", "--count", "20000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as child:
+        assert child.stdout.readline() == b"0 1 1\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=60), err) == (141, b"")
 
 
 def test_approx_usage_errors(capsys):
@@ -299,6 +311,9 @@ def test_verify_usage_errors(capsys):
     code, out, err = run(capsys, "verify", "--suite", "reduction",
                          "--k-min", "2", "--k-max", "2")
     assert code == 2 and out == "" and "no k in 2..2" in err
+    code, out, err = run(capsys, "verify", "--suite", "all",
+                         "--k-min", "3", "--k-max", "3", "--n-max", "3")
+    assert code == 2 and out == "" and "a_fourth_order" in err
 
 
 @pytest.mark.usefixtures("corrupt_ab_wide")
@@ -442,7 +457,7 @@ def test_verify_prints_a_witness_wider_than_the_str_cap(capsys, monkeypatch,
 @needs_str_cap
 def test_oeis_reads_terms_wider_than_the_str_cap(tmp_path, capsys, default_str_cap):
     # the orbit's a_14 has 6272 digits
-    lines = [_csv_value(state.a) for state in newton_run(2, 14)]
+    lines = [_cell(state.a, "csv") for state in newton_run(2, 14)]
     (tmp_path / "A001601.txt").write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "oeis", "--check", "A001601", "--data-dir", str(tmp_path))
     assert (code, out) == (0, "A001601 15 PASS\n")

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from surdseq import identities
 from surdseq.exact import ConsistencyError
 from surdseq.identities import (
     FailureWitness,
@@ -14,7 +15,7 @@ from surdseq.identities import (
     sqrt_double,
     two_power_ladder,
 )
-from surdseq.sequences import Family, SeqSpec, coupled_iterate
+from surdseq.sequences import Family, SeqSpec, TermPair, coupled_iterate
 
 
 def ab(k, count):
@@ -162,3 +163,27 @@ def test_identity_report_passed_property():
 
 def test_internal_checks_use_consistency_error():
     assert issubclass(ConsistencyError, RuntimeError)
+
+
+def test_pell_residual_checks_its_surd_power(monkeypatch):
+    exact = identities.surd_pow
+
+    def a_off_by_one(*args):
+        a, b = exact(*args)
+        return a + 1, b
+
+    monkeypatch.setattr(identities, "surd_pow", a_off_by_one)
+    with pytest.raises(ConsistencyError, match="residual broke at k=2, n=3"):
+        pell_residual(2, 3)
+
+
+def test_index_double_checks_against_fast_term(monkeypatch):
+    exact = identities.fast_term
+
+    def off_at_six(k, n):
+        t = exact(k, n)
+        return TermPair(n, t.num + 1, t.den) if n == 6 else t
+
+    monkeypatch.setattr(identities, "fast_term", off_at_six)
+    with pytest.raises(ConsistencyError, match="index doubling broke at k=2, n=3"):
+        index_double(2, 3)

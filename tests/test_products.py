@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from surdseq import products
+from surdseq.exact import ConsistencyError
 from surdseq.newton import newton_run
 from surdseq.products import (
     cd_closed_form,
@@ -91,3 +93,21 @@ def test_limit_gap_closed_expression():
 def test_r3_orbit_is_the_k2_newton_orbit():
     cs = [st.c for st in cd_run(3, 6)]
     assert cs == [st.a for st in newton_run(2, 6)][:7]
+
+
+def test_cd_run_checks_each_partial_product(monkeypatch):
+    # at r = 3 the second factor is 1 + 1/17; make it 1 + 1/18
+    def skewed(num=0, den=None):
+        if (num, den) == (1, 17):
+            return Fraction(1, 18)
+        return Fraction(num) if den is None else Fraction(num, den)
+
+    monkeypatch.setattr(products, "Fraction", skewed)
+    with pytest.raises(ConsistencyError, match="partial product drifted at r=3, n=2"):
+        cd_run(3, 3)
+
+
+def test_limit_gap_checks_the_partial_stays_below(monkeypatch):
+    monkeypatch.setattr(products, "partial_product", lambda r, n: Fraction(r + 1, r - 1))
+    with pytest.raises(ConsistencyError, match="overshot at r=3, n=2"):
+        product_limit_gap(3, 2)

@@ -64,6 +64,16 @@ def test_a_suite_with_no_k_to_run_on_is_rejected():
     assert {r.k for r in run_suite("all", 2, 2, 4)} == {2}
 
 
+def test_a_row_with_no_case_at_this_n_max_is_rejected():
+    # a_fourth_order starts at n = 4: at n_max 3 it would read PASS with 0 passes
+    with pytest.raises(ValueError, match="a_fourth_order, b_fourth_order$"):
+        run_suite("all", 3, 3, 3)
+    with pytest.raises(ValueError, match="newton_square_certificate"):
+        run_suite("newton", 2, 2, 1)
+    reports = run_suite("identities", 2, 2, 1)
+    assert reports and all(r.passed and r.passes for r in reports)
+
+
 def _demo(keys, lhs, rhs):
     return _sweep(_Row("demo", "synthetic", lhs, rhs, lambda s: keys), _Streams(2, 3))
 
