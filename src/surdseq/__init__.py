@@ -5,92 +5,47 @@ computations.  The same numbers are reachable through independent
 strategies (iteration, closed forms, binomial sums, generating
 functions, Newton steps, infinite products) and the library leans on
 that redundancy for self-verification.
+
+Each public name imports its submodule on first access, so certifying
+digits never loads the verification stack.
 """
-from .approx import ApproxResult, Method, approximate, certify_digits, floor_root_scaled
-from .exact import ConsistencyError, cmp_to_root, isqrt, perfect_square_root
-from .identities import (
-    FailureWitness,
-    IdentityReport,
-    addition_jump,
-    fast_term,
-    index_double,
-    pell_residual,
-    sqrt_double,
-    two_power_ladder,
-)
-from .newton import (
-    NewtonState,
-    newton_binomial_sum,
-    newton_closed_form,
-    newton_run,
-    newton_start,
-    newton_step,
-)
-from .products import ProductState, cd_closed_form, cd_run, partial_product, product_limit_gap
-from .quad import surd_pow, surd_square
-from .sequences import (
-    Family,
-    SeqSpec,
-    SequenceName,
-    TermPair,
-    binomial_term,
-    closed_form_term,
-    coupled_iterate,
-    coupled_stream,
-    genfunc_coeffs,
-    recurrence,
-    reduced_cd,
-    second_order_iterate,
-    terms,
-)
-from .verify import run_suite
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxResult",
-    "ConsistencyError",
-    "FailureWitness",
-    "Family",
-    "IdentityReport",
-    "Method",
-    "NewtonState",
-    "ProductState",
-    "SeqSpec",
-    "SequenceName",
-    "TermPair",
-    "addition_jump",
-    "approximate",
-    "binomial_term",
-    "cd_closed_form",
-    "cd_run",
-    "certify_digits",
-    "closed_form_term",
-    "cmp_to_root",
-    "coupled_iterate",
-    "coupled_stream",
-    "fast_term",
-    "floor_root_scaled",
-    "genfunc_coeffs",
-    "index_double",
-    "isqrt",
-    "newton_binomial_sum",
-    "newton_closed_form",
-    "newton_run",
-    "newton_start",
-    "newton_step",
-    "partial_product",
-    "pell_residual",
-    "perfect_square_root",
-    "product_limit_gap",
-    "recurrence",
-    "reduced_cd",
-    "run_suite",
-    "second_order_iterate",
-    "sqrt_double",
-    "surd_pow",
-    "surd_square",
-    "terms",
-    "two_power_ladder",
-    "__version__",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "approx": ("ApproxResult", "Method", "approximate", "certify_digits", "floor_root_scaled"),
+    "exact": ("ConsistencyError", "cmp_to_root", "isqrt", "perfect_square_root"),
+    "identities": ("FailureWitness", "IdentityReport", "addition_jump", "fast_term",
+                   "index_double", "pell_residual", "sqrt_double", "two_power_ladder"),
+    "newton": ("NewtonState", "newton_binomial_sum", "newton_closed_form", "newton_run",
+               "newton_start", "newton_step"),
+    "products": ("ProductState", "cd_closed_form", "cd_run", "partial_product",
+                 "product_limit_gap"),
+    "quad": ("surd_pow", "surd_square"),
+    "sequences": ("Family", "SeqSpec", "SequenceName", "TermPair", "binomial_term",
+                  "closed_form_term", "coupled_iterate", "coupled_stream", "genfunc_coeffs",
+                  "recurrence", "reduced_cd", "second_order_iterate", "terms"),
+    "verify": ("run_suite",),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import the submodule behind name (a public name, or one of the
+    submodules that define them), bind name here and return it."""
+    if name in _SUBMODULE:
+        value = getattr(_import_module(f".{_SUBMODULE[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SUBMODULE})

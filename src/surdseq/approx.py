@@ -9,7 +9,7 @@ and can only agree with each other or fail loudly.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -322,7 +322,9 @@ class ApproxResult:
     digits: str
     n_used: int
     method: Method
-    error_bound: Fraction
+    # left out of repr: from a few thousand digits on, its numerator and
+    # denominator pass the int->str cap
+    error_bound: Fraction = field(repr=False)
     k: int
     h: int
 

@@ -17,11 +17,10 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from . import newton as newton_mod
+# sequences, verify and newton are imported inside the functions that use
+# them, so that importing this module loads only what approx calls need
 from .approx import Method, approximate
 from .exact import ConsistencyError, decimal_str
-from .sequences import Family, SeqSpec, terms
-from .verify import SUITE_NAMES, run_suite
 
 _PLAIN_LIMIT = 60
 
@@ -88,6 +87,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
+    from .sequences import Family, SeqSpec, terms
+
     family = Family(args.family)
     k = args.k
     if family is Family.PRODUCT:
@@ -131,6 +132,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     reports = run_suite(args.suite, args.k_min, args.k_max, args.n_max)
     params = {"suite": args.suite, "k_min": args.k_min,
               "k_max": args.k_max, "n_max": args.n_max}
@@ -184,6 +187,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis(args: argparse.Namespace) -> int:
+    from .newton import generated_terms, reference_terms
+
     ids = [token.strip() for token in args.check.split(",") if token.strip()]
     _require(bool(ids), "no series ids given")
     data_dir = os.environ.get("SURDSEQ_DATA_DIR") or args.data_dir
@@ -193,8 +198,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
     rows = []
     mismatched = 0
     for series_id in ids:
-        expected = newton_mod.reference_terms(series_id, data_dir)
-        got = newton_mod.generated_terms(series_id, len(expected))
+        expected = reference_terms(series_id, data_dir)
+        got = generated_terms(series_id, len(expected))
         ok = got == expected
         if not ok:
             mismatched += 1
@@ -212,6 +217,9 @@ def _seed_pair(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .sequences import Family
+    from .verify import SUITE_NAMES
+
     parser = argparse.ArgumentParser(
         prog="surdseq",
         description="Exact convergents to square roots of rationals.",

@@ -5,6 +5,7 @@ and prints a @reproduce_failure blob for every failing example, so a
 red CI run can be replayed exactly.
 """
 import os
+import sys
 from dataclasses import replace
 
 import pytest
@@ -43,3 +44,13 @@ def corrupt_ab_wide(monkeypatch):
         return [t._replace(den=t.den + 1) if (s.k, t.n) == (2, 5) else t for t in honest(s)]
 
     monkeypatch.setitem(verify._BUILD, "ab_wide", corrupted)
+
+
+@pytest.fixture
+def default_str_cap():
+    """The interpreter's default int->str digit cap for the test, and
+    whatever cap was set before restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(before)

@@ -3,6 +3,7 @@ yardstick for the pair recurrences and the engine race that `surdseq bench`
 runs over approximate."""
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,16 @@ def test_error_bound_brackets_the_root():
         low = q - result.error_bound
         assert low < 0 or cmp_to_root(low, k) <= 0
         assert result.error_bound < Fraction(1, 10 ** digits)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int->str digit cap")
+@pytest.mark.parametrize("k, digits", [(11, 3000), (2, 10 ** 4)])
+def test_repr_prints_under_the_default_str_cap(default_str_cap, k, digits):
+    # the error bound's sides run past the cap; repr leaves the bound out
+    result = approximate(k, 1, digits, Method.NEWTON)
+    assert repr(result) == (f"ApproxResult(digits='{result.digits}', n_used={result.n_used}, "
+                            f"method={Method.NEWTON!r}, k={k}, h=1)")
 
 
 def closer(x, y, k, h):

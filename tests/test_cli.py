@@ -13,7 +13,6 @@ import pytest
 
 import surdseq
 from surdseq.approx import Method, approximate
-from surdseq import cli
 from surdseq.cli import _cell, main
 from surdseq.identities import FailureWitness, IdentityReport
 from surdseq.newton import newton_run
@@ -411,16 +410,6 @@ needs_str_cap = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                                    reason="interpreter has no int->str digit cap")
 
 
-@pytest.fixture
-def default_str_cap():
-    """The interpreter's default int->str digit cap for the test, and
-    whatever cap was set before restored after it."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield sys.int_info.default_max_str_digits
-    sys.set_int_max_str_digits(before)
-
-
 @needs_str_cap
 @pytest.mark.parametrize("argv", [
     ["seq", "--family", "newton", "--k", "2", "--count", "16", "--format", "json"],
@@ -441,7 +430,7 @@ def test_verify_prints_a_witness_wider_than_the_str_cap(capsys, monkeypatch,
                                                         default_str_cap, fmt):
     lhs, rhs = 10 ** 5000, Fraction(-(10 ** 5000) - 1, 2)
     failure = FailureWitness(3, None, lhs, rhs)
-    monkeypatch.setattr(cli, "run_suite", lambda *args: [
+    monkeypatch.setattr(surdseq.verify, "run_suite", lambda *args: [
         IdentityReport("wide_identity", 2, 8, 3, failure)])
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--format", fmt)
     assert code == 1

@@ -1,6 +1,10 @@
 """The package's public surface."""
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,32 @@ def test_star_import_binds_exactly_all():
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(surdseq.__all__)
     assert len(set(surdseq.__all__)) == len(surdseq.__all__)
+
+
+# run in a fresh interpreter: pytest's has imported every submodule already
+IMPORT_PROBE = """
+import sys
+import surdseq, surdseq.cli
+for method in surdseq.Method:
+    surdseq.approximate(2, 1, 50, method)
+heavy = ("verify", "sequences", "identities", "newton", "products")
+print(sorted(m for m in heavy if f"surdseq.{m}" in sys.modules))
+assert surdseq.verify.run_suite is surdseq.run_suite  # the module first, through the hook
+assert set(surdseq.__all__) <= set(dir(surdseq))
+try:
+    surdseq.QuadSurd
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_approximate_loads_no_verification_module():
+    src = str(Path(surdseq.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "[]", "module 'surdseq' has no attribute 'QuadSurd'"]
 
 
 def arg(func, kwargs, slot, least=None, label=None, case=None):
