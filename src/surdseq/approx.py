@@ -111,22 +111,43 @@ def _certify(a: int, b: int, k: int, h: int, root: int | None, digits: int, scal
     and the rest from _scales, and run under _scales' context; the same
     steps serve either number type.
 
-    A pair too narrow to come within 10^-digits of x = sqrt(k/h) is
-    turned away first, on bit lengths: with r = h a^2 - k b^2,
-    |a/b - x| = |r| / (h b (a + b x)), and a + b x < 2a + b whenever
-    the gap is below 1, so h b (2a + b) < 10^digits puts the pair too
-    far away unless r = 0.  That needs h k = root^2, and then r = 0
-    exactly when h a = root b, as h r = (h a)^2 - (root b)^2.
+    A pair that certifies lies within 10^-digits of x = sqrt(k/h): its
+    truncation t is that of x, so scale a / b and scale x both lie in
+    [t, t + 1).  With r = h a^2 - k b^2, |a/b - x| = |r| / (h b (a + b x)).
 
-    The proposal t comes from a and b cut down, when they are wider,
-    to the quotient's width plus _GUARD_BITS, which moves it by less
-    than one from the exact quotient q = floor(scale a / b).  One
-    squaring then finds the root's floor among t - 1, t, t + 1 (or
-    proves it lies elsewhere, so q cannot match).  Uncut, the proposal
-    is q itself.  Cut, a' = a >> shift and b' = b >> shift give
-    a' / (b' + 1) < a / b < (a' + 1) / b', so t (b' + 1) <= scale a'
-    and scale (a' + 1) <= (t + 1) b' prove t = q; only when that does
-    not decide is the full pair converted and q checked on it.
+    A pair too narrow for that is turned away first, on bit lengths:
+    a + b x < 2a + b whenever the gap is below 1, so h b (2a + b) <
+    10^digits puts the pair too far away unless r = 0.  That needs
+    h k = root^2, and then r = 0 exactly when h a = root b, as
+    h r = (h a)^2 - (root b)^2.
+
+    Then a and b are cut, when b is wider than the quotient's width
+    plus _GUARD_BITS, to a' = a >> shift and b' = b >> shift.  With
+    m = max(bits(a) - bits(b), 0) that leaves b' >= 2^(scale_bits + m
+    + _GUARD_BITS - 1) and a' / b' < 2^(m + 1).  As a' / (b' + 1) < a / b
+    < (a' + 1) / b', the cut moves the ratio by less than
+    max(1, a' / b') / b' < 2^(2 - _GUARD_BITS - scale_bits), which is
+    below 2^(2 - _GUARD_BITS) 10^-digits since 10^digits < 2^scale_bits.
+
+    Unless h k is a square (where r' can be 0), the cut pair's residual
+    r' = h a'^2 - k b'^2 turns away a pair too far from x before
+    anything converts or divides.  |a'/b' - x| = |r'| / (h b' (a' + b' x))
+    and x < s = isqrt(k // h) + 1, so the denominator is below 2^E for
+    E = bits(h) + bits(b') + max(bits(a'), bits(b') + bits(s)) + 1,
+    while |r'| >= 2^(bits(r') - 1).  When bits(r') + scale_bits - 3 >= E,
+    the cut pair lies more than 2^(2 - scale_bits) >= 2 10^-digits from x,
+    as 2^(scale_bits - 1) <= 10^digits.  The full pair then lies more
+    than (2 - 2^(2 - _GUARD_BITS)) 10^-digits > 10^-digits away, and
+    cannot certify.
+
+    The proposal t = floor(scale a' / b') is within one of the exact
+    quotient q = floor(scale a / b), as the cut moves scale a' / b' by
+    less than 2^(2 - _GUARD_BITS).  One squaring then finds the root's
+    floor among t - 1, t, t + 1 (or proves it lies elsewhere, so q
+    cannot match).  Uncut, the proposal is q itself.  Cut, the bounds
+    on a / b above give it from t (b' + 1) <= scale a' and
+    scale (a' + 1) <= (t + 1) b'; only when that does not decide is the
+    full pair converted and q checked on it.
     """
     narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
               < scale_bits)
@@ -134,7 +155,15 @@ def _certify(a: int, b: int, k: int, h: int, root: int | None, digits: int, scal
         return None
     shift = max(b.bit_length() - scale_bits - max(a.bit_length() - b.bit_length(), 0)
                 - _GUARD_BITS, 0)
-    num, den = convert(a >> shift), convert(b >> shift)
+    num, den = a >> shift, b >> shift
+    if root is None:
+        residual = h * (num * num) - k * (den * den)
+        den_bits = den.bit_length()
+        if (residual.bit_length() + scale_bits - 3
+                >= h.bit_length() + den_bits
+                + max(num.bit_length(), den_bits + (isqrt(k // h) + 1).bit_length()) + 1):
+            return None
+    num, den = convert(num), convert(den)
     top = scale * num
     proposal = top // den
     t = _root_floor(proposal, convert(h), scaled)

@@ -2,7 +2,9 @@
 
 HYPOTHESIS_PROFILE=ci keeps the default example counts and deadlines
 and prints a @reproduce_failure blob for every failing example, so a
-red CI run can be replayed exactly.
+red CI run can be replayed exactly.  HYPOTHESIS_PROFILE=derandomized
+draws the same examples on every run and keeps no example database, so
+tools/mutants.py judges each mutant on the same cases.
 """
 import os
 import sys
@@ -14,6 +16,7 @@ from hypothesis import settings
 from surdseq import approx, cli, verify
 
 settings.register_profile("ci", print_blob=True)
+settings.register_profile("derandomized", derandomize=True, database=None, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 

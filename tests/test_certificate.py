@@ -1,8 +1,10 @@
 """The certificate and the error bound against their plain formulas.
 
-certify_digits turns narrow pairs away on bit lengths, proposes from
-truncated operands and proves the quotient on them, falling back to the
-full pair only when they cannot decide; _coprime_error_bound takes a
+certify_digits turns narrow pairs away on bit lengths, cuts wide ones
+to the quotient's width, turns away a pair whose cut residual proves it
+too far from the root before anything converts or divides, proposes
+from the cut operands and proves the quotient on them, falling back to
+the full pair only when they cannot decide; _coprime_error_bound takes a
 pair in lowest terms, clears fractions and reduces them without a gcd
 on the wide numerator and denominator.  Both must agree exactly with
 the direct formulas kept here as references: one long division, two
@@ -26,7 +28,7 @@ from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from surdseq import approx, exact
 from surdseq.approx import (
@@ -204,6 +206,57 @@ def quotient_edge_pairs(draw):
 
 @given(quotient_edge_pairs())
 def test_certify_at_quotient_edges(case):
+    a, b, k, h, digits = case
+    want = reference_certify(a, b, k, h, digits)
+    for cutoff in CUTOFFS:
+        with decimal_cutoff(cutoff):
+            assert certify_digits(a, b, k, h, digits) == want, cutoff
+
+
+@st.composite
+def root_edge_pairs(draw):
+    """(a, b, k, h, digits) with |a/b - sqrt(k/h)| within a factor of two
+    of 10^-digits, where the cut residual's test meets the pairs that
+    certify.  a/b lies 0.52 to 1.98 10^-digits above or below the root,
+    or a few 1 / b from the end of the root's truncation interval that is
+    farther from it, where the gap is 0.5 to 1 10^-digits and the pairs
+    just inside certify.  b is either at most the quotient's width plus
+    the guard bits, so the certificate keeps it whole, or wider, so it
+    is cut."""
+    k = draw(st.integers(min_value=1, max_value=10 ** 6))
+    h = draw(st.integers(min_value=1, max_value=10 ** 4))
+    digits = draw(st.integers(min_value=1, max_value=150))
+    scale = 10 ** digits
+    scale_bits = scale.bit_length()
+    # b > 2^7 scale, so a/b moves in steps below 2^-7 10^-digits
+    uncut = st.integers(min_value=scale_bits + 8, max_value=scale_bits + approx._GUARD_BITS)
+    threshold = scale_bits + isqrt(k // h).bit_length() + approx._GUARD_BITS + 2
+    cut = st.integers(min_value=threshold, max_value=threshold + 2 * scale_bits)
+    width = draw(st.one_of(uncut, cut))
+    b = draw(st.integers(min_value=2 ** (width - 1), max_value=2 ** width - 1))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=52, max_value=198)) * b // (100 * scale)
+        a = isqrt(k * b * b // h) + draw(st.sampled_from([j, -j]))
+    else:
+        # the end of [t, t + 1) / scale farther from the root, for t / scale
+        # the root's truncation
+        t = isqrt(k * h * scale * scale) // h
+        end = t if 4 * k * scale * scale >= h * (2 * t + 1) ** 2 else t + 1
+        a = -(-b * end // scale) + draw(st.integers(min_value=-2, max_value=2))
+    assume(a >= 0)
+    return a, b, k, h, digits
+
+
+@given(root_edge_pairs())
+# pairs that certify, uncut and cut, whose cut residual has one bit
+# fewer than the test needs to turn them away; few drawn pairs meet the
+# bit-length bounds that closely
+@example((55845, 7978, 4959, 104, 1))
+@example((2948013, 1016556, 8520, 948, 1))
+def test_certify_where_the_gap_meets_ten_to_minus_digits(case):
+    # a pair that certifies lies within 10^-digits of the root, and the
+    # cut residual turns away only pairs it proves twice as far, so both
+    # sides of 10^-digits must match the reference on either number type
     a, b, k, h, digits = case
     want = reference_certify(a, b, k, h, digits)
     for cutoff in CUTOFFS:
@@ -416,20 +469,26 @@ def test_decimal_path_above_the_transform_threshold(k, h, digits, method):
     assert same_fraction(results[1].error_bound, results[0].error_bound)
 
 
-def test_certificate_converts_the_full_pair_only_when_the_cut_one_cannot_decide(monkeypatch):
+@pytest.fixture
+def converted(monkeypatch):
+    """The list of every int approx converts to Decimal while the test runs."""
+    seen = []
+    to_decimal = approx._to_decimal
+
+    def spy(n):
+        seen.append(n)
+        return to_decimal(n)
+
+    monkeypatch.setattr(approx, "_to_decimal", spy)
+    return seen
+
+
+def test_certificate_converts_the_full_pair_only_when_the_cut_one_cannot_decide(converted):
     # sqrt(10^6 + 3) = 1000.0014999989...: at six places 10^6 a / b lies
     # so close to an integer that the cut pair's interval test leaves
     # floor(10^6 a / b) open, so both number types check the full pair.
     # Far wider pairs, cut as in test_certify_cuts_operands_when_b_is_wide,
     # are decided by the interval alone: the full a and b never convert.
-    converted = []
-    to_decimal = approx._to_decimal
-
-    def spy(n):
-        converted.append(n)
-        return to_decimal(n)
-
-    monkeypatch.setattr(approx, "_to_decimal", spy)
     a, b, k, digits = 5135722962681111, 5135715259114, 10 ** 6 + 3, 6
     assert (a, b) in cf_pairs(k, 1, 24)
     want = reference_certify(a, b, k, 1, digits)
@@ -450,6 +509,24 @@ def test_certificate_converts_the_full_pair_only_when_the_cut_one_cannot_decide(
         assert converted and a not in converted and b not in converted, width
         # what converts is the cut pair, the quotient's width plus guard bits
         assert max(converted).bit_length() <= (10 ** digits).bit_length() + 16, width
+
+
+@pytest.mark.parametrize("k, h, digits, method", [
+    (11, 1, 2000, Method.JUMP), (7, 1, 2000, Method.NEWTON), (10, 1, 3000, Method.NEWTON),
+    (13, 7, 1500, Method.JUMP)])
+def test_only_the_certifying_cut_pair_converts(converted, k, h, digits, method):
+    # the engines propose pairs far wider than they are accurate; the cut
+    # residual turns each one that cannot certify away before anything
+    # converts, so on Decimal integers approximate converts k (in
+    # _scales), then the certifying pair cut down, then h
+    with decimal_cutoff(0):
+        got = approximate(k, h, digits, method)
+    assert (got.digits, got.n_used) == reference_approximate(k, h, digits, method)[:2]
+    pair = next(Fraction(a, b) for index, a, b in paper_orbit(k, h, method) if index == got.n_used)
+    a, b = pair.numerator, pair.denominator
+    assert len(converted) == 4 and (converted[0], converted[3]) == (k, h), len(converted)
+    shift = b.bit_length() - converted[2].bit_length()
+    assert shift > 0 and converted[1:3] == [a >> shift, b >> shift]
 
 
 def test_decimal_path_keeps_the_callers_context():

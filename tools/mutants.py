@@ -1,0 +1,181 @@
+"""Mutation gate for the digit certificate.
+
+Usage, from the repository root:
+
+    python tools/mutants.py
+
+Each row of MUTANTS is one small edit to one module of the surdseq
+package: the exact source text, its replacement, and what the edit
+breaks.  Every row's text must occur exactly once in its module, so the
+table cannot silently stop matching the code it names.  For each row the
+tool copies src/, tests/ and pyproject.toml to a temporary directory,
+applies the one edit there and runs
+
+    python -m pytest -x -q -p no:cacheprovider tests/test_certificate.py tests/test_approx.py
+
+on the copy under the derandomized Hypothesis profile (tests/conftest.py),
+so that every run draws the same examples.  A failing run kills the
+mutant.  A row marked equivalent says why the edit cannot change an
+output; it is checked for its text but not run.  The unedited copy runs
+first and must pass.  The exit code is 0 when it passes and every other
+row is killed.  Uses the standard library only, apart from the pytest
+and Hypothesis the tests need.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ("tests/test_certificate.py", "tests/test_approx.py")
+# a mutant that loops instead of failing counts as killed after this long
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    module: str
+    text: str
+    replacement: str
+    breaks: str
+    equivalent: str = ""
+
+
+MUTANTS = (
+    # _certify: the bit-length early-out and its root exception
+    Mutant("approx.py",
+           "narrow = (h.bit_length() + b.bit_length()",
+           "narrow = (b.bit_length()",
+           "the early-out leaves h out of the gap's denominator and, for h > 1, "
+           "turns away pairs that certify"),
+    Mutant("approx.py",
+           "              < scale_bits)",
+           "              < scale_bits + 2)",
+           "the early-out asks for four times the width it needs and turns away "
+           "pairs that certify"),
+    Mutant("approx.py",
+           "if narrow and (root is None or h * a != root * b):",
+           "if narrow:",
+           "a narrow pair on a rational root (h k a square) is turned away"),
+    # _certify: the cut residual's test
+    Mutant("approx.py",
+           "residual.bit_length() + scale_bits - 3",
+           "residual.bit_length() + scale_bits - 1",
+           "the residual test claims a gap of 2^(1 - scale_bits), which can be "
+           "under 10^-digits, and turns away pairs that certify"),
+    Mutant("approx.py",
+           "residual.bit_length() + scale_bits - 3",
+           "residual.bit_length() + scale_bits - 4",
+           "the residual test turns fewer pairs away",
+           "a smaller constant proves a wider gap before turning a pair away, so "
+           "it only turns fewer pairs away; the proposal and the proofs after it "
+           "decide those as before"),
+    Mutant("approx.py",
+           "            >= h.bit_length() + den_bits",
+           "            < h.bit_length() + den_bits",
+           "the residual test turns away the pairs near the root instead of the far ones"),
+    Mutant("approx.py",
+           "    if root is None:\n        residual",
+           "    if True:\n        residual",
+           "on a square h k a cut pair on the root has residual 0, which the test "
+           "reads as 2^-1 and turns away"),
+    # _certify: the uncut proposal, the interval proof and the full-pair fallback
+    Mutant("approx.py",
+           "if t != proposal:",
+           "if False:",
+           "an uncut pair whose quotient is not the root's floor certifies"),
+    Mutant("approx.py",
+           "t * (den + 1) <= top",
+           "t * den <= top",
+           "the interval proof accepts a cut pair whose quotient may be t - 1"),
+    Mutant("approx.py",
+           "scale * (num + 1) <= (t + 1) * den",
+           "scale * num <= (t + 1) * den",
+           "the interval proof accepts a cut pair whose quotient may be t + 1"),
+    Mutant("approx.py",
+           "if not low <= scale * convert(a) < low + den:",
+           "if False:",
+           "the full-pair fallback accepts whatever the cut pair left open"),
+    Mutant("approx.py",
+           "if not low <= scale * convert(a) < low + den:",
+           "if not low <= scale * convert(a):",
+           "the full-pair fallback checks only the quotient's lower end"),
+    # _root_floor
+    Mutant("approx.py",
+           "square -= 2 * t - 1",
+           "square -= 2 * t + 1",
+           "the square below t^2 is off by two, so t - 1 can be taken for the floor"),
+    Mutant("approx.py",
+           "        square -= 2 * t - 1\n        t -= 1\n        if square * h > scaled:\n"
+           "            return None",
+           "        square -= 2 * t - 1\n        t -= 1",
+           "a floor two or more below the proposal is taken as t - 1"),
+    Mutant("approx.py",
+           "            if (square + 2 * t + 1) * h <= scaled:\n                return None",
+           "            pass",
+           "a floor two or more above the proposal is taken as t + 1"),
+    Mutant("approx.py",
+           "        square += 2 * t + 1\n",
+           "        square += 2 * t\n",
+           "the square above t^2 is one short, so t + 1 can be taken for the floor"),
+)
+
+
+def fails(row: Mutant | None) -> bool:
+    """Whether the tests fail on a copy of the checkout with row applied
+    (none for row None).  A run that times out counts as failing; one
+    that errors out before testing raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if row is not None:
+            path = copy / "src" / "surdseq" / row.module
+            path.write_text(path.read_text().replace(row.text, row.replacement))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"),
+               "HYPOTHESIS_PROFILE": "derandomized"}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True
+    # pytest exits 1 when tests ran and some failed, 0 when all passed
+    if done.returncode not in (0, 1):
+        raise RuntimeError(f"pytest exited {done.returncode}:\n{done.stdout}{done.stderr}")
+    return done.returncode == 1
+
+
+def main() -> int:
+    stale = False
+    for row in MUTANTS:
+        found = (ROOT / "src" / "surdseq" / row.module).read_text().count(row.text)
+        if found != 1:
+            print(f"STALE  {row.module}: {found} occurrences of {row.text!r}")
+            stale = True
+    if stale:
+        return 1
+    if fails(None):
+        print("the tests fail on the unedited copy")
+        return 1
+    survived = 0
+    for number, row in enumerate(MUTANTS, 1):
+        if row.equivalent:
+            print(f"{number:2} equivalent  {row.module}: {row.equivalent}")
+            continue
+        killed = fails(row)
+        survived += not killed
+        print(f"{number:2} {'killed' if killed else 'SURVIVED':10}  {row.module}: {row.breaks}",
+              flush=True)
+    print(f"{len(MUTANTS)} mutants, {survived} non-equivalent survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
