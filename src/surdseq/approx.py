@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from math import gcd
 from typing import Iterator
 
@@ -21,7 +20,7 @@ from .exact import (
     _EXACT, _to_decimal, _use_decimal, decimal_str, isqrt, perfect_square_root,
     require_int,
 )
-from .quad import surd_square
+from .quad import _square_norm
 
 
 class Method(Enum):
@@ -201,9 +200,10 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
         return _certify(a, b, k, h, perfect_square_root(h * k), digits, *scales)
 
 
-def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int]]:
-    """Yield (A, B) in lowest terms with A / B the ratio of the parts of
-    (a + b sqrt(K))^(2^j), j = 1, 2, ..., for coprime a, b >= 1, K = radicand.
+def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (A, B, t) with A / B in lowest terms the ratio of the parts of
+    (a + b sqrt(K))^(2^j), j = 1, 2, ..., for coprime a, b >= 1, K = radicand,
+    and A^2 - K B^2 = t^2.
 
     A step (A, B) -> (A^2 + K B^2, 2 A B) is Newton's y -> (y^2 + K) / (2 y)
     on y = A / B.  With A and B coprime, let an odd prime q divide both
@@ -213,18 +213,33 @@ def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int]]:
     v_q(A') = v_q(K B^2) = v_q(K), and at most e <= v_q(K) otherwise.  So
     once the twos are stripped, gcd(A', B') divides K, and one gcd of
     remainders by K leaves the pair coprime.
+
+    The kernel hands back n = A^2 - K B^2 beside the step, from the two
+    products A' is the sum of, and A'^2 - K B'^2 = n^2.  With g = 2^shift
+    common what the step divides out, the yielded pair's norm is (n / g)^2,
+    and g divides n as g^2 divides n^2: t = n / g, with exact divisions.
     """
     while True:
-        a, b = _strip_twos(*surd_square(a, b, radicand))
+        big_a, big_b, norm = _square_norm(a, b, radicand)
+        a, b = _strip_twos(big_a, big_b)
+        # b is big_b shifted right exactly, so the shift is the drop in width
+        norm >>= big_b.bit_length() - b.bit_length()
         common = gcd(a % radicand, b % radicand, radicand)
         if common > 1:
             a //= common
             b //= common
-        yield a, b
+            norm //= common
+        yield a, b, norm
 
 
-def _convergents(k: int, h: int, method: Method, scale_bits: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (index, A, B) with A / B proposing sqrt(K), K = h k.
+def _convergents(k: int, h: int, method: Method,
+                 scale_bits: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (index, A, B, f, t) with A / B proposing sqrt(K), K = h k, and
+    A^2 - K B^2 = f t^2, the pair's norm, which each engine holds at no
+    extra cost: LINEAR's is the r it carries (t = 1), NEWTON's is t^2 from
+    _squarings (f = 1), and JUMP's is (1 - K) t^2 from its squaring's t,
+    or (1 - K)^2 at index 1.  approximate reads the certified pair's
+    residual off it, so the error bound squares neither A nor B.
 
     approximate reads each pair as A / (h B), which proposes
     sqrt(k/h) = sqrt(K) / h: the paper's rational at the paper's index.
@@ -266,29 +281,33 @@ def _convergents(k: int, h: int, method: Method, scale_bits: int) -> Iterator[tu
             c_bits = c.bit_length()
             if (not r or r.bit_length() + slack
                     < h_bits + c_bits + max(a.bit_length(), c_bits + root_bits) + 1):
-                yield index, a, c
+                yield index, a, c, r, 1
     elif method is Method.JUMP:
         root = perfect_square_root(radicand)
         if root is not None:
             # with K = s^2, A - s B = (1 - s)^(index + 1), and index + 1 is
             # odd from index 2 on: the powers lie below the rational root
             # s / h and never certify one whose decimals end early, so the
-            # one candidate is the root itself
-            yield 1, root, 1
+            # one candidate is the root itself, of norm 0
+            yield 1, root, 1, 0, 1
             return
         # p + q sqrt(K) runs over 1 + sqrt(K) and its squarings, so the candidate
         # (p + q sqrt(K)) (1 + sqrt(K)) at index = 2^j is (1 + sqrt(K))^(index + 1),
-        # at h = 1 the paper's ab pair fast_term(k, index)
-        index = 1
-        for p, q in chain([(1, 1)], _squarings(1, 1, radicand)):
-            yield index, p + radicand * q, p + q
+        # at h = 1 the paper's ab pair fast_term(k, index); its norm is that of
+        # p + q sqrt(K), 1 - K at index 1 and t^2 after, times 1 - K, the norm of
+        # 1 + sqrt(K)
+        factor = 1 - radicand
+        yield 1, 1 + radicand, 2, 1, factor
+        index = 2
+        for p, q, t in _squarings(1, 1, radicand):
+            yield index, p + radicand * q, p + q, factor, t
             index *= 2
     elif method is Method.NEWTON:
         # The paper's step x -> (h x^2 + k) / (2 h x) is y -> (y^2 + K) / (2 y)
         # on y = h x, so the orbit of y from h (x = 1) is the paper's orbit
         # scaled by h, without the factors h puts into its pairs.
-        for index, (a, b) in enumerate(_squarings(h, 1, radicand), 1):
-            yield index, a, b
+        for index, (a, b, t) in enumerate(_squarings(h, 1, radicand), 1):
+            yield index, a, b, 1, t
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -306,9 +325,13 @@ else:
             return Fraction(n, m, _normalize=False)
 
 
-def _coprime_error_bound(a: int, b: int, k: int, h: int, root: int | None) -> Fraction:
+def _coprime_error_bound(a: int, b: int, k: int, h: int, root: int | None,
+                         residual: int) -> Fraction:
     """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime
-    a and b >= 1, given root = perfect_square_root(h k)."""
+    a and b >= 1, given root = perfect_square_root(h k) and the residual
+    h a^2 - k b^2, which approximate reads off the engine's norm, so
+    nothing here squares a or b.  The residual is read only when h k is
+    not a square."""
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound.
@@ -331,7 +354,7 @@ def _coprime_error_bound(a: int, b: int, k: int, h: int, root: int | None) -> Fr
     p = isqrt(radicand)
     # Cleared of fractions the bound is N / M with N = |h a^2 - k b^2| g
     # and M = b (a h g + p b), both of degree two in (a, b).
-    num = abs(h * (a * a) - k * (b * b)) * guard
+    num = abs(residual) * guard
     den = b * (a * h * guard + p * b)
     # With a and b coprime, gcd(N, M) divides the small s = c h g, where
     # c = k h g^2 - p^2 <= 2p.  Put r = h a^2 - k b^2 and x = a h g + p b;
@@ -370,11 +393,17 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     root = perfect_square_root(h * k)
     context, scale_bits, scale, scaled, convert = _scales(k, digits)
     with context:
-        for index, num, den in _convergents(k, h, method, scale_bits):
+        for index, num, den, f, t in _convergents(k, h, method, scale_bits):
             # a / b = num / (h den) in lowest terms (see _convergents)
             common = gcd(num % h, h)
-            a, b = _strip_twos(num // common, h // common * den)
+            whole = h // common * den
+            a, b = _strip_twos(num // common, whole)
             out = _certify(a, b, k, h, root, digits, scale_bits, scale, scaled, convert)
             if out is not None:
-                return ApproxResult(out, index, method, _coprime_error_bound(a, b, k, h, root), k, h)
+                # with 2^shift the twos stripped, h a^2 - k b^2 is h N / (common^2 4^shift)
+                # for the norm N = num^2 - h k den^2 = f t^2, and both divisions are exact
+                shift = whole.bit_length() - b.bit_length()
+                residual = (h * f * (t * t) // (common * common)) >> 2 * shift
+                bound = _coprime_error_bound(a, b, k, h, root, residual)
+                return ApproxResult(out, index, method, bound, k, h)
     raise AssertionError("convergent stream is infinite")

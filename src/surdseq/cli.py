@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 # sequences, verify and newton are imported inside the functions that use
-# them, so that importing this module loads only what approx calls need
+# them, so that importing this module, building the parser and running
+# approx load only what approx calls need
 from .approx import Method, approximate
 from .exact import ConsistencyError, decimal_str
 
@@ -216,21 +217,30 @@ def _seed_pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser that lets `arguments`, when given, add its
+    arguments just before it first parses, so that the registries their
+    choices come from load only when that subcommand runs."""
+
+    def __init__(self, *args, arguments=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            arguments, self._arguments = self._arguments, None
+            arguments(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=["plain", "json", "csv"],
+                   default="plain", help="output format")
+
+
+def _seq_arguments(p: argparse.ArgumentParser) -> None:
     from .sequences import Family
-    from .verify import SUITE_NAMES
 
-    parser = argparse.ArgumentParser(
-        prog="surdseq",
-        description="Exact convergents to square roots of rationals.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["plain", "json", "csv"],
-                       default="plain", help="output format")
-
-    p = sub.add_parser("seq", help="print terms of one sequence family")
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--k", type=int, help="radicand parameter")
     p.add_argument("--h", type=int, default=1,
@@ -241,7 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="w0,w1 seed for the w and u2 families")
     p.add_argument("--count", type=int, required=True,
                    help="number of terms to print")
-    add_format(p)
+    _add_format(p)
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import SUITE_NAMES
+
+    p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
+    p.add_argument("--k-min", type=int, default=2)
+    p.add_argument("--k-max", type=int, default=12)
+    p.add_argument("--n-max", type=int, default=30)
+    _add_format(p)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="surdseq",
+        description="Exact convergents to square roots of rationals.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+
+    p = sub.add_parser("seq", help="print terms of one sequence family",
+                       arguments=_seq_arguments)
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("approx", help="certified digits of sqrt(k/h)")
@@ -251,15 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decimal places to certify")
     p.add_argument("--method", choices=[m.value for m in Method],
                    default="linear")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_approx)
 
-    p = sub.add_parser("verify", help="run identity suites over a k range")
-    p.add_argument("--suite", required=True, choices=list(SUITE_NAMES))
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--n-max", type=int, default=30)
-    add_format(p)
+    p = sub.add_parser("verify", help="run identity suites over a k range",
+                       arguments=_verify_arguments)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="race the convergent engines")
@@ -267,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, required=True)
     p.add_argument("--methods", default=",".join(m.value for m in Method),
                    help="comma separated method names")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oeis", help="compare regenerated terms against "
@@ -277,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None,
                    help="directory of reference files (the SURDSEQ_DATA_DIR "
                         "environment variable overrides this)")
-    add_format(p)
+    _add_format(p)
     p.set_defaults(func=cmd_oeis)
     return parser
 

@@ -4,7 +4,9 @@ The radicand is carried along unsimplified, so sqrt(4) stays a formal
 symbol instead of collapsing to 2.  QuadSurd only multiplies and
 powers, and multiplying two different radicands is an error.
 surd_square and surd_pow are the integer kernel for surd powers, on
-plain ints; binomial_part reaches the same numbers by binomial sums.
+plain ints, and _square_norm is their one squaring body, which also
+hands the approx engines each pair's norm; binomial_part reaches the
+same numbers by binomial sums.
 """
 from __future__ import annotations
 
@@ -15,24 +17,33 @@ from math import comb
 from .exact import require_int
 
 
+def _square_norm(p: int, q: int, d: int) -> tuple[int, int, int]:
+    """(P, Q, N) with P + Q sqrt(d) = (p + q sqrt(d))^2 and N = p^2 - d q^2
+    the norm of p + q sqrt(d), so that P^2 - d Q^2 = N^2, for ints the
+    caller has checked: N is the difference of the two products P is the
+    sum of."""
+    square, d_square = p * p, d * (q * q)
+    return square + d_square, (p * q) << 1, square - d_square
+
+
 def surd_square(p: int, q: int, d: int) -> tuple[int, int]:
     """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^2."""
     require_int("p", p)
     require_int("q", q)
     require_int("d", d)
-    return p * p + d * (q * q), (p * q) << 1
+    return _square_norm(p, q, d)[:2]
 
 
 def surd_pow(p: int, q: int, d: int, e: int) -> tuple[int, int]:
     """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^e, for e >= 0: square
-    at each bit of e from the top, times p + q sqrt(d) at each set bit;
-    the first squaring, by surd_square, checks d."""
+    at each bit of e from the top, times p + q sqrt(d) at each set bit."""
     require_int("p", p)
     require_int("q", q)
     require_int("e", e, 0)
+    require_int("d", d)
     big_p, big_q = 1, 0
     for bit in bin(e)[2:]:
-        big_p, big_q = surd_square(big_p, big_q, d)
+        big_p, big_q, _ = _square_norm(big_p, big_q, d)
         if bit == "1":
             big_p, big_q = big_p * p + d * (big_q * q), big_p * q + big_q * p
     return big_p, big_q

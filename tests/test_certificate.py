@@ -5,8 +5,9 @@ to the quotient's width, turns away a pair whose cut residual proves it
 too far from the root before anything converts or divides, proposes
 from the cut operands and proves the quotient on them, falling back to
 the full pair only when they cannot decide; _coprime_error_bound takes a
-pair in lowest terms, clears fractions and reduces them without a gcd
-on the wide numerator and denominator.  Both must agree exactly with
+pair in lowest terms and its residual, which approximate reads off the
+engine's norm, clears fractions and reduces them without a gcd on the
+wide numerator and denominator.  Both must agree exactly with
 the direct formulas kept here as references: one long division, two
 squarings, str(), and Fraction arithmetic.  The reference approximate
 walks the paper's own orbits through their public functions, or
@@ -23,7 +24,7 @@ import sys
 from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count, islice, takewhile
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -142,11 +143,14 @@ def same_fraction(x, y):
 
 
 def lowest_terms_bound(a, b, k, h):
-    """_coprime_error_bound on a / b with gcd(a, b) divided out first."""
+    """_coprime_error_bound on a / b with gcd(a, b) divided out first,
+    given the reduced pair's residual h a^2 - k b^2 squared out here, the
+    eager formula the engines' norms stand in for in approximate."""
     common = gcd(a, b)
+    a, b = a // common, b // common
     root = isqrt(k * h)
-    return _coprime_error_bound(a // common, b // common, k, h,
-                                root if root * root == k * h else None)
+    return _coprime_error_bound(a, b, k, h, root if root * root == k * h else None,
+                                h * a * a - k * b * b)
 
 
 def assert_same_bound(a, b, k, h):
@@ -424,15 +428,23 @@ def test_approximate_matches_reference_when_h_exceeds_one(k, h, digits):
         assert_matches_reference(k, h, digits, Method.JUMP)
 
 
+def test_jump_certifies_at_its_first_index():
+    # (1 + sqrt(2))^2 = 3 + 2 sqrt(2), read as 3 / 4, is sqrt(1/2) to one
+    # place: the one index where JUMP's norm is (1 - K)^2, not (1 - K) t^2
+    assert approximate(1, 2, 1, Method.JUMP).n_used == 1
+    assert_matches_reference(1, 2, 1, Method.JUMP)
+
+
 @given(st.integers(min_value=1, max_value=10 ** 4), st.integers(min_value=1, max_value=10 ** 4))
 def test_newton_engine_pairs_are_the_orbit_in_lowest_terms(k, h):
     # the engine's A / B proposes sqrt(h k); read as A / (h B) it is the
     # paper's rational at the same index, k = h and k = 1 included
     engine = _convergents(k, h, Method.NEWTON, SCALE_BITS)
-    for (index, a, b), (n, x, y) in islice(zip(engine, paper_orbit(k, h, Method.NEWTON)), 8):
+    for (index, a, b, f, t), (n, x, y) in islice(zip(engine, paper_orbit(k, h, Method.NEWTON)), 8):
         assert index == n
         assert gcd(a, b) == 1, (k, h, index)
         assert a * y == h * b * x, (k, h, index)
+        assert (f, t * t) == (1, a * a - k * h * b * b), (k, h, index)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -467,6 +479,27 @@ def test_decimal_path_above_the_transform_threshold(k, h, digits, method):
     assert results[0].digits == truth_digits(k, h, digits)
     assert results[1] == results[0]
     assert same_fraction(results[1].error_bound, results[0].error_bound)
+
+
+@pytest.mark.parametrize("k, h, digits, method", [
+    (11, 1, 45564, Method.JUMP), (10, 1, 19686, Method.NEWTON), (2, 1, 10 ** 5, Method.NEWTON)])
+def test_error_bound_read_off_a_wide_norm(default_str_cap, k, h, digits, method):
+    # certify-deep calls: the certified pair's t is 304k of 422k bits on
+    # the first, 208k of 270k on the second, and 1 on the third.  The
+    # bound read off f t^2 is the eager formula's on either number type,
+    # and repr and == hold under the interpreter's default int->str cap.
+    results = []
+    for cutoff in CUTOFFS:
+        with decimal_cutoff(cutoff):
+            results.append(approximate(k, h, digits, method))
+    got = results[0]
+    num, den = next((a, b) for index, a, b, _, _ in
+                    _convergents(k, h, method, (10 ** digits).bit_length()) if index == got.n_used)
+    assert same_fraction(got.error_bound, lowest_terms_bound(num, h * den, k, h))
+    assert same_fraction(results[1].error_bound, got.error_bound)
+    assert results[1] == got
+    assert repr(got) == (f"ApproxResult(digits='{got.digits}', n_used={got.n_used}, "
+                         f"method={method!r}, k={k}, h={h})")
 
 
 @pytest.fixture
@@ -633,12 +666,14 @@ def test_linear_engine_carries_the_residual(k, h):
     for digits in (1, 17, 60) if k * h <= 10 ** 4 else (1,):
         stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
         next(stream)  # n = 0 has denominator 0 in the uv family
-        for index, a, c in islice(_convergents(k, h, Method.LINEAR, (10 ** digits).bit_length()), 50):
+        engine = _convergents(k, h, Method.LINEAR, (10 ** digits).bit_length())
+        for index, a, c, r, t in islice(engine, 50):
             pair = next(stream)
             while pair.n < index:
                 assert reference_certify(pair.num, pair.den, k, h, digits) is None, (k, h, pair.n)
                 pair = next(stream)
             assert (index, a, h * c) == (pair.n, pair.num, pair.den), (k, h, digits)
+            assert (r, t) == (a * a - k * h * c * c, 1), (k, h, index)
 
 
 @given(st.integers(min_value=1, max_value=10 ** 4),
@@ -651,12 +686,28 @@ def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
     # root comes some thousand steps in, so ten of its pairs are checked.
     pairs = list(islice(_convergents(k, h, Method.LINEAR, SCALE_BITS), 10))
     if isqrt(k * h) ** 2 != k * h:
-        for index, a, b in _convergents(k, h, Method.JUMP, SCALE_BITS):
+        for index, a, b, f, t in _convergents(k, h, Method.JUMP, SCALE_BITS):
             if index > 2 ** 12:
                 break
             assert _strip_twos(a, b) == _strip_twos(*jump_reference(k * h, index))
-            pairs.append((index, a, b))
-    for index, a, b in pairs:
+            pairs.append((index, a, b, f, t))
+    for index, a, b, f, t in pairs:
+        assert f * t * t == a * a - k * h * b * b, (k, h, index)
         assert gcd(*_strip_twos(a, b)) == 1, (k, h, index)
         common = gcd(a, h)
         assert gcd(*_strip_twos(a // common, h // common * b)) == 1, (k, h, index)
+
+
+@given(st.integers(min_value=1, max_value=10 ** 4), st.integers(min_value=1, max_value=10 ** 4))
+def test_every_engine_hands_over_its_pairs_norm(k, h):
+    # approximate reads the certified pair's residual off f t^2, so every
+    # yielded (A, B, f, t) must have A^2 - K B^2 = f t^2 exactly: JUMP up
+    # to index 2^12, NEWTON's first eight pairs and, where k h <= 10^3,
+    # thirty of LINEAR's
+    radicand = k * h
+    runs = [takewhile(lambda c: c[0] <= 2 ** 12, _convergents(k, h, Method.JUMP, SCALE_BITS)),
+            islice(_convergents(k, h, Method.NEWTON, SCALE_BITS), 8)]
+    if radicand <= 10 ** 3:
+        runs.append(islice(_convergents(k, h, Method.LINEAR, SCALE_BITS), 30))
+    for index, a, b, f, t in chain(*runs):
+        assert f * t * t == a * a - radicand * b * b, (k, h, index)

@@ -247,6 +247,32 @@ def test_python_dash_m_runs_the_cli(capsys, module):
     assert out.startswith("digits 1.4142135623\n")
 
 
+def imported_modules(*argv):
+    """The surdseq modules `python -m surdseq *argv` imports, read off
+    -X importtime, with its exit code."""
+    src = str(Path(surdseq.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "surdseq", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    names = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    return done.returncode, {name for name in names if name.startswith("surdseq")}
+
+
+def test_the_approx_command_loads_no_verification_module():
+    # the parser reads seq's families and verify's suites only when that
+    # command runs, so approx loads what approximate needs and no more
+    code, loaded = imported_modules("approx", "--k", "2", "--digits", "10", "--method", "newton")
+    assert code == 0
+    assert {"surdseq.cli", "surdseq.approx"} <= loaded
+    assert not loaded & {"surdseq.verify", "surdseq.sequences", "surdseq.identities",
+                         "surdseq.newton", "surdseq.products"}, loaded
+    code, loaded = imported_modules("seq", "--family", "ab", "--k", "2", "--count", "3")
+    assert code == 0 and "surdseq.sequences" in loaded and "surdseq.verify" not in loaded
+    code, loaded = imported_modules("verify", "--suite", "bogus")
+    assert code == 2 and "surdseq.verify" in loaded
+
+
 def test_a_closed_output_pipe_exits_141_quietly():
     # 20000 ab terms print about 3 MB, more than a pipe holds, so the
     # CLI is still writing when the reader goes away

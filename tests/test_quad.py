@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from surdseq.quad import QuadSurd, surd_pow, surd_square
+from surdseq.quad import QuadSurd, _square_norm, surd_pow, surd_square
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 surds = st.builds(QuadSurd, rationals, rationals, st.integers(min_value=0, max_value=30))
@@ -80,6 +80,9 @@ def test_surd_pow_matches_the_fraction_route(p, q, d, e):
     assert surd_pow(p, q, d, e) == (x.rat, x.coef)
     y = QuadSurd(p, q, d) * QuadSurd(p, q, d)
     assert surd_square(p, q, d) == (y.rat, y.coef)
+    # the norm the kernel hands back is the surd times its conjugate
+    norm = QuadSurd(p, q, d) * QuadSurd(p, -q, d)
+    assert _square_norm(p, q, d) == (y.rat, y.coef, norm.rat)
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):

@@ -1,4 +1,4 @@
-"""Mutation gate for the digit certificate.
+"""Mutation gate for the digit certificate and the error bound.
 
 Usage, from the repository root:
 
@@ -122,6 +122,75 @@ MUTANTS = (
            "        square += 2 * t + 1\n",
            "        square += 2 * t\n",
            "the square above t^2 is one short, so t + 1 can be taken for the floor"),
+    # _coprime_error_bound: the root branch's gcds by h
+    Mutant("approx.py",
+           "shared = gcd(y % h, h) * gcd(b % h, h)",
+           "shared = gcd(y % h, h)",
+           "on a square h k the bound keeps what b and h share, out of lowest terms"),
+    Mutant("approx.py",
+           "shared = gcd(y % h, h) * gcd(b % h, h)",
+           "shared = gcd(b % h, h)",
+           "on a square h k the bound keeps what y and h share, out of lowest terms"),
+    # _coprime_error_bound: the guard factor and the modulus of the shared factor
+    Mutant("approx.py",
+           "guard = 10 ** 8",
+           "guard = 10 ** 4",
+           "the root is truncated to four places, a looser bound than the one "
+           "that is documented"),
+    Mutant("approx.py",
+           "num = abs(residual) * guard",
+           "num = abs(residual)",
+           "the numerator loses the guard factor, so the bound falls 10^8-fold "
+           "below the gap it bounds"),
+    Mutant("approx.py",
+           "den = b * (a * h * guard + p * b)",
+           "den = b * (a * h + p * b)",
+           "the denominator loses the guard on a h, so a / b's term is weighed "
+           "10^8-fold too little"),
+    Mutant("approx.py",
+           "shared = (radicand - p * p) * h * guard",
+           "shared = (radicand - p * p) * guard",
+           "the modulus leaves out h, so a power of a prime in h that the "
+           "numerator and denominator share stays in the bound"),
+    Mutant("approx.py",
+           "shared = (radicand - p * p) * h * guard",
+           "shared = (radicand - p * p) * h",
+           "the modulus leaves out the guard, so its twos and fives that both "
+           "sides share stay in the bound"),
+    Mutant("approx.py",
+           "shared = (radicand - p * p) * h * guard",
+           "shared = h * guard",
+           "the modulus leaves out c = k h g^2 - p^2, so what the sides share "
+           "through it stays in the bound"),
+    # approximate: the residual read off the engine's norm
+    Mutant("approx.py",
+           "// (common * common)) >> 2 * shift",
+           "// common) >> 2 * shift",
+           "the residual divides by gcd(A, h) once, not squared, so h > 1 "
+           "sharing a factor with A gives a bound too large"),
+    Mutant("approx.py",
+           "// (common * common)) >> 2 * shift",
+           "// (common * common)) >> shift",
+           "the residual divides by 2^shift, not 4^shift, so a pair whose twos "
+           "were stripped gets a bound too large"),
+    # _convergents and _squarings: the norms the engines hand over
+    Mutant("approx.py",
+           "yield index, p + radicand * q, p + q, factor, t",
+           "yield index, p + radicand * q, p + q, 1, t",
+           "JUMP's norm leaves out 1 - K, the norm of 1 + sqrt(K)"),
+    Mutant("approx.py",
+           "yield 1, 1 + radicand, 2, 1, factor",
+           "yield 1, 1 + radicand, 2, factor, 1",
+           "JUMP's norm at index 1 is 1 - K, not (1 - K)^2"),
+    Mutant("approx.py",
+           "        norm >>= big_b.bit_length() - b.bit_length()\n",
+           "",
+           "NEWTON's t keeps the twos the step stripped, so t^2 is 4^shift "
+           "times the norm"),
+    Mutant("approx.py",
+           "            norm //= common\n",
+           "",
+           "NEWTON's t keeps the gcd by K the step divided out"),
 )
 
 
