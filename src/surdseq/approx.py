@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Iterator
 
@@ -104,40 +105,21 @@ def _scales(k: int, digits: int) -> tuple:
     return localcontext(_EXACT), _power_of_ten_bits(digits), *scales, _to_decimal
 
 
-def _certify(a: int, b: int, k: int, h: int, root: int | None, digits: int, scale_bits: int,
+def _certify(a: int, b: int, h: int, digits: int, scale_bits: int,
              scale, scaled, convert) -> str | None:
-    """certify_digits on checked input, given root = perfect_square_root(h k)
-    and the rest from _scales, and run under _scales' context; the same
-    steps serve either number type.
+    """The proof that a / b certifies, for checked a and b with their
+    shared twos stripped, given the rest from _scales, and run under
+    _scales' context; the same steps serve either number type.  It turns
+    no pair away before the proposal: approximate and certify_digits
+    turn away on bit lengths the pairs too far from the root.
 
-    A pair that certifies lies within 10^-digits of x = sqrt(k/h): its
-    truncation t is that of x, so scale a / b and scale x both lie in
-    [t, t + 1).  With r = h a^2 - k b^2, |a/b - x| = |r| / (h b (a + b x)).
-
-    A pair too narrow for that is turned away first, on bit lengths:
-    a + b x < 2a + b whenever the gap is below 1, so h b (2a + b) <
-    10^digits puts the pair too far away unless r = 0.  That needs
-    h k = root^2, and then r = 0 exactly when h a = root b, as
-    h r = (h a)^2 - (root b)^2.
-
-    Then a and b are cut, when b is wider than the quotient's width
-    plus _GUARD_BITS, to a' = a >> shift and b' = b >> shift.  With
+    a and b are cut, when b is wider than the quotient's width plus
+    _GUARD_BITS, to a' = a >> shift and b' = b >> shift.  With
     m = max(bits(a) - bits(b), 0) that leaves b' >= 2^(scale_bits + m
     + _GUARD_BITS - 1) and a' / b' < 2^(m + 1).  As a' / (b' + 1) < a / b
     < (a' + 1) / b', the cut moves the ratio by less than
     max(1, a' / b') / b' < 2^(2 - _GUARD_BITS - scale_bits), which is
     below 2^(2 - _GUARD_BITS) 10^-digits since 10^digits < 2^scale_bits.
-
-    Unless h k is a square (where r' can be 0), the cut pair's residual
-    r' = h a'^2 - k b'^2 turns away a pair too far from x before
-    anything converts or divides.  |a'/b' - x| = |r'| / (h b' (a' + b' x))
-    and x < s = isqrt(k // h) + 1, so the denominator is below 2^E for
-    E = bits(h) + bits(b') + max(bits(a'), bits(b') + bits(s)) + 1,
-    while |r'| >= 2^(bits(r') - 1).  When bits(r') + scale_bits - 3 >= E,
-    the cut pair lies more than 2^(2 - scale_bits) >= 2 10^-digits from x,
-    as 2^(scale_bits - 1) <= 10^digits.  The full pair then lies more
-    than (2 - 2^(2 - _GUARD_BITS)) 10^-digits > 10^-digits away, and
-    cannot certify.
 
     The proposal t = floor(scale a' / b') is within one of the exact
     quotient q = floor(scale a / b), as the cut moves scale a' / b' by
@@ -148,21 +130,9 @@ def _certify(a: int, b: int, k: int, h: int, root: int | None, digits: int, scal
     scale (a' + 1) <= (t + 1) b'; only when that does not decide is the
     full pair converted and q checked on it.
     """
-    narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
-              < scale_bits)
-    if narrow and (root is None or h * a != root * b):
-        return None
     shift = max(b.bit_length() - scale_bits - max(a.bit_length() - b.bit_length(), 0)
                 - _GUARD_BITS, 0)
-    num, den = a >> shift, b >> shift
-    if root is None:
-        residual = h * (num * num) - k * (den * den)
-        den_bits = den.bit_length()
-        if (residual.bit_length() + scale_bits - 3
-                >= h.bit_length() + den_bits
-                + max(num.bit_length(), den_bits + (isqrt(k // h) + 1).bit_length()) + 1):
-            return None
-    num, den = convert(num), convert(den)
+    num, den = convert(a >> shift), convert(b >> shift)
     top = scale * num
     proposal = top // den
     t = _root_floor(proposal, convert(h), scaled)
@@ -188,6 +158,14 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     squares against the scaled radicand and proves that t is
     floor(10^digits a / b), in ints or, for many digits, in exact
     Decimal integers.
+
+    A pair too narrow to certify is turned away first, on bit lengths.
+    A pair that certifies lies within 10^-digits of x = sqrt(k/h), and
+    with r = h a^2 - k b^2, |a/b - x| = |r| / (h b (a + b x)).  As
+    a + b x < 2a + b whenever the gap is below 1, h b (2a + b) <
+    10^digits puts the pair too far away unless r = 0.  That needs
+    h k = root^2, and then r = 0 exactly when h a = root b, as
+    h r = (h a)^2 - (root b)^2.
     """
     require_int("a", a, 0)
     require_int("b", b, 1)
@@ -195,9 +173,14 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     require_int("h", h, 1)
     require_int("digits", digits, 1)
     a, b = _strip_twos(a, b)
-    context, *scales = _scales(k, digits)
+    root = perfect_square_root(h * k)
+    context, scale_bits, *scales = _scales(k, digits)
+    narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
+              < scale_bits)
+    if narrow and (root is None or h * a != root * b):
+        return None
     with context:
-        return _certify(a, b, k, h, perfect_square_root(h * k), digits, *scales)
+        return _certify(a, b, h, digits, scale_bits, *scales)
 
 
 def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int, int]]:
@@ -232,20 +215,18 @@ def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int, int]]:
         yield a, b, norm
 
 
-def _convergents(k: int, h: int, method: Method,
-                 scale_bits: int) -> Iterator[tuple[int, int, int, int, int]]:
+def _convergents(k: int, h: int, method: Method) -> Iterator[tuple[int, int, int, int, int]]:
     """Yield (index, A, B, f, t) with A / B proposing sqrt(K), K = h k, and
     A^2 - K B^2 = f t^2, the pair's norm, which each engine holds at no
     extra cost: LINEAR's is the r it carries (t = 1), NEWTON's is t^2 from
     _squarings (f = 1), and JUMP's is (1 - K) t^2 from its squaring's t,
-    or (1 - K)^2 at index 1.  approximate reads the certified pair's
-    residual off it, so the error bound squares neither A nor B.
+    or (1 - K)^2 at index 1.  approximate turns away on it every pair too
+    far from the root to certify, and reads the certified pair's residual
+    off it, so neither step squares A or B.
 
     approximate reads each pair as A / (h B), which proposes
     sqrt(k/h) = sqrt(K) / h: the paper's rational at the paper's index.
-    scale_bits is the bit length of 10^D for D digits asked for; LINEAR
-    leaves out every pair its residual A^2 - K B^2 proves too far from
-    the root.  approximate alone certifies and bounds what is yielded.
+    approximate alone gates, certifies and bounds what is yielded.
 
     No odd prime q divides both A and B, so q divides gcd(A, h B) as
     often as it divides gcd(A, h).  LINEAR's and JUMP's pairs are
@@ -262,26 +243,12 @@ def _convergents(k: int, h: int, method: Method,
         # (a, b) -> (a + k b, h a + b) is (A, C) -> (A + K C, A + C), from
         # (1, 1) for ab and (1, 0) for uv (whose n = 0 has denominator 0).
         # It maps r = A^2 - K C^2 to (1 - K) r, so r stays exact without a
-        # squaring.  |A / (h C) - sqrt(k/h)| = |r| / (h C (A + C sqrt(K))),
-        # and a pair whose truncation certifies lies within 10^-D of the
-        # root.  With s = isqrt(K) + 1 > sqrt(K), h C (A + C s) is below
-        # 2^(bits(h) + bits(C) + max(bits(A), bits(C) + bits(s)) + 1),
-        # and |r| 10^D is at least 2^(bits(r) + bits(10^D) - 2).  When the
-        # second exponent reaches the first, the gap exceeds 10^-D and
-        # the pair is left out; r = 0 puts the pair on the root.
+        # squaring.
         a, c, r = (1, 1, 1 - radicand) if h == 1 else (1, 0, 1)
         factor = 1 - radicand
-        h_bits = h.bit_length()
-        root_bits = (isqrt(radicand) + 1).bit_length()
-        slack = scale_bits - 2
-        index = 0
-        while True:
+        for index in count(1):
             a, c, r = a + radicand * c, a + c, factor * r
-            index += 1
-            c_bits = c.bit_length()
-            if (not r or r.bit_length() + slack
-                    < h_bits + c_bits + max(a.bit_length(), c_bits + root_bits) + 1):
-                yield index, a, c, r, 1
+            yield index, a, c, r, 1
     elif method is Method.JUMP:
         root = perfect_square_root(radicand)
         if root is not None:
@@ -326,12 +293,12 @@ else:
 
 
 def _coprime_error_bound(a: int, b: int, k: int, h: int, root: int | None,
-                         residual: int) -> Fraction:
+                         residual: int | None) -> Fraction:
     """An upper bound on |a/b - sqrt(k/h)| in lowest terms, for coprime
     a and b >= 1, given root = perfect_square_root(h k) and the residual
     h a^2 - k b^2, which approximate reads off the engine's norm, so
     nothing here squares a or b.  The residual is read only when h k is
-    not a square."""
+    not a square; approximate passes None otherwise."""
     # |a/b - sqrt(k/h)| = |h a^2 - k b^2| / (h b^2 (a/b + sqrt(k/h))),
     # and replacing the root by any smaller nonnegative L keeps it an
     # upper bound.
@@ -386,24 +353,45 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
 
     Returns the certified digits along with the index that sufficed
     and an exact upper bound on |a/b - sqrt(k/h)| at that index.
+
+    Each candidate A / (h B) is first turned away, on bit lengths alone,
+    when its norm A^2 - K B^2 = f t^2 (K = h k) proves it too far from
+    the root to certify.  |A / (h B) - sqrt(k/h)| = |f t^2| / (h B (A +
+    B sqrt(K))), and a pair that certifies lies within 10^-digits <=
+    2^(1 - scale_bits) of the root, for scale_bits = bits(10^digits).
+    With s = isqrt(K) + 1 > sqrt(K), h B (A + B s) is below 2^E for
+    E = bits(h) + bits(B) + max(bits(A), bits(B) + bits(s)) + 1, while
+    |f t^2| >= 2^(bits(f) + 2 bits(t) - 3).  So when bits(f) + 2 bits(t)
+    + scale_bits - 4 >= E the gap exceeds 10^-digits; a zero norm puts
+    the pair on the root.
     """
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
     root = perfect_square_root(h * k)
     context, scale_bits, scale, scaled, convert = _scales(k, digits)
+    h_bits = h.bit_length()
+    root_bits = (isqrt(h * k) + 1).bit_length()
+    slack = scale_bits - 4
     with context:
-        for index, num, den, f, t in _convergents(k, h, method, scale_bits):
+        for index, num, den, f, t in _convergents(k, h, method):
+            den_bits = den.bit_length()
+            if f and t and (f.bit_length() + 2 * t.bit_length() + slack
+                            >= h_bits + den_bits + max(num.bit_length(), den_bits + root_bits) + 1):
+                continue
             # a / b = num / (h den) in lowest terms (see _convergents)
             common = gcd(num % h, h)
             whole = h // common * den
             a, b = _strip_twos(num // common, whole)
-            out = _certify(a, b, k, h, root, digits, scale_bits, scale, scaled, convert)
+            out = _certify(a, b, h, digits, scale_bits, scale, scaled, convert)
             if out is not None:
                 # with 2^shift the twos stripped, h a^2 - k b^2 is h N / (common^2 4^shift)
-                # for the norm N = num^2 - h k den^2 = f t^2, and both divisions are exact
-                shift = whole.bit_length() - b.bit_length()
-                residual = (h * f * (t * t) // (common * common)) >> 2 * shift
+                # for the norm N = num^2 - h k den^2 = f t^2, and both divisions are exact;
+                # the bound reads it only when h k is not a square
+                residual = None
+                if root is None:
+                    shift = whole.bit_length() - b.bit_length()
+                    residual = (h * f * (t * t) // (common * common)) >> 2 * shift
                 bound = _coprime_error_bound(a, b, k, h, root, residual)
                 return ApproxResult(out, index, method, bound, k, h)
     raise AssertionError("convergent stream is infinite")

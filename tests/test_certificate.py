@@ -1,13 +1,14 @@
 """The certificate and the error bound against their plain formulas.
 
 certify_digits turns narrow pairs away on bit lengths, cuts wide ones
-to the quotient's width, turns away a pair whose cut residual proves it
-too far from the root before anything converts or divides, proposes
-from the cut operands and proves the quotient on them, falling back to
-the full pair only when they cannot decide; _coprime_error_bound takes a
-pair in lowest terms and its residual, which approximate reads off the
-engine's norm, clears fractions and reduces them without a gcd on the
-wide numerator and denominator.  Both must agree exactly with
+to the quotient's width, proposes from the cut operands and proves the
+quotient on them, falling back to the full pair only when they cannot
+decide; approximate turns away, on bit lengths, every candidate whose
+norm (handed over by the engine) proves it too far from the root,
+before anything reduces, cuts or converts it; _coprime_error_bound
+takes a pair in lowest terms and its residual, which approximate reads
+off the engine's norm, clears fractions and reduces them without a gcd
+on the wide numerator and denominator.  All must agree exactly with
 the direct formulas kept here as references: one long division, two
 squarings, str(), and Fraction arithmetic.  The reference approximate
 walks the paper's own orbits through their public functions, or
@@ -66,11 +67,6 @@ def truth_digits(k, h, digits):
     with decimal_cutoff(None):
         raw = decimal_str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
     return raw[:-digits] + "." + raw[-digits:]
-
-
-# _convergents' scale_bits at one digit: LINEAR yields from its first
-# pair within a digit of the root on, and JUMP and NEWTON ignore it
-SCALE_BITS = (10 ** 1).bit_length()
 
 
 def reference_certify(a, b, k, h, digits):
@@ -220,9 +216,9 @@ def test_certify_at_quotient_edges(case):
 @st.composite
 def root_edge_pairs(draw):
     """(a, b, k, h, digits) with |a/b - sqrt(k/h)| within a factor of two
-    of 10^-digits, where the cut residual's test meets the pairs that
-    certify.  a/b lies 0.52 to 1.98 10^-digits above or below the root,
-    or a few 1 / b from the end of the root's truncation interval that is
+    of 10^-digits, where the pairs that certify meet those that cannot.
+    a/b lies 0.52 to 1.98 10^-digits above or below the root, or a few
+    1 / b from the end of the root's truncation interval that is
     farther from it, where the gap is 0.5 to 1 10^-digits and the pairs
     just inside certify.  b is either at most the quotient's width plus
     the guard bits, so the certificate keeps it whole, or wider, so it
@@ -252,14 +248,12 @@ def root_edge_pairs(draw):
 
 
 @given(root_edge_pairs())
-# pairs that certify, uncut and cut, whose cut residual has one bit
-# fewer than the test needs to turn them away; few drawn pairs meet the
-# bit-length bounds that closely
+# pairs that certify, uncut and cut, 0.95 and 0.98 10^-digits from the
+# root; few drawn pairs certify that far out
 @example((55845, 7978, 4959, 104, 1))
 @example((2948013, 1016556, 8520, 948, 1))
 def test_certify_where_the_gap_meets_ten_to_minus_digits(case):
-    # a pair that certifies lies within 10^-digits of the root, and the
-    # cut residual turns away only pairs it proves twice as far, so both
+    # a pair that certifies lies within 10^-digits of the root, so both
     # sides of 10^-digits must match the reference on either number type
     a, b, k, h, digits = case
     want = reference_certify(a, b, k, h, digits)
@@ -439,7 +433,7 @@ def test_jump_certifies_at_its_first_index():
 def test_newton_engine_pairs_are_the_orbit_in_lowest_terms(k, h):
     # the engine's A / B proposes sqrt(h k); read as A / (h B) it is the
     # paper's rational at the same index, k = h and k = 1 included
-    engine = _convergents(k, h, Method.NEWTON, SCALE_BITS)
+    engine = _convergents(k, h, Method.NEWTON)
     for (index, a, b, f, t), (n, x, y) in islice(zip(engine, paper_orbit(k, h, Method.NEWTON)), 8):
         assert index == n
         assert gcd(a, b) == 1, (k, h, index)
@@ -494,7 +488,7 @@ def test_error_bound_read_off_a_wide_norm(default_str_cap, k, h, digits, method)
             results.append(approximate(k, h, digits, method))
     got = results[0]
     num, den = next((a, b) for index, a, b, _, _ in
-                    _convergents(k, h, method, (10 ** digits).bit_length()) if index == got.n_used)
+                    _convergents(k, h, method) if index == got.n_used)
     assert same_fraction(got.error_bound, lowest_terms_bound(num, h * den, k, h))
     assert same_fraction(results[1].error_bound, got.error_bound)
     assert results[1] == got
@@ -548,10 +542,10 @@ def test_certificate_converts_the_full_pair_only_when_the_cut_one_cannot_decide(
     (11, 1, 2000, Method.JUMP), (7, 1, 2000, Method.NEWTON), (10, 1, 3000, Method.NEWTON),
     (13, 7, 1500, Method.JUMP)])
 def test_only_the_certifying_cut_pair_converts(converted, k, h, digits, method):
-    # the engines propose pairs far wider than they are accurate; the cut
-    # residual turns each one that cannot certify away before anything
-    # converts, so on Decimal integers approximate converts k (in
-    # _scales), then the certifying pair cut down, then h
+    # the engines propose pairs far wider than they are accurate; the
+    # gate turns each one that cannot certify away on its norm before
+    # anything converts, so on Decimal integers approximate converts k
+    # (in _scales), then the certifying pair cut down, then h
     with decimal_cutoff(0):
         got = approximate(k, h, digits, method)
     assert (got.digits, got.n_used) == reference_approximate(k, h, digits, method)[:2]
@@ -650,30 +644,107 @@ def test_engines_match_floor_root_scaled(k, h, digits):
         assert same_fraction(results[1].error_bound, got.error_bound), (method, k, h, digits)
         if method is Method.LINEAR:
             # the reference certifies every coupled_stream candidate, so
-            # the pairs LINEAR leaves out on its residual cannot move n_used
+            # the pairs the gate turns away cannot move n_used
             want = reference_approximate(k, h, digits, method)
             assert got.n_used == want[1], (k, h, digits)
             assert same_fraction(got.error_bound, want[2]), (k, h, digits)
 
 
+def turned_away(k, h, digits, method):
+    """The candidates (index, A, B) that approximate's gate turns away on
+    the way to the certified one: those the engine yields that never
+    reach the certificate.  A gate that turned every candidate away
+    would loop; the spy stops it at 10^4 candidates, far more than any
+    engine here walks."""
+    engine, certify = approx._convergents, approx._certify
+    yielded, reached = [], set()
+
+    def spy_engine(*args):
+        for candidate in islice(engine(*args), 10 ** 4):
+            yielded.append(candidate[:3])
+            yield candidate
+
+    def spy_certify(*args):
+        reached.add(yielded[-1][0])
+        return certify(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approx, "_convergents", spy_engine)
+        patch.setattr(approx, "_certify", spy_certify)
+        n_used = approximate(k, h, digits, method).n_used
+    assert yielded[-1][0] == n_used and n_used in reached, (method, k, h, digits)
+    return [candidate for candidate in yielded if candidate[0] not in reached]
+
+
+@settings(deadline=timedelta(seconds=10))
+@given(radicands(), radicands(), st.integers(min_value=1, max_value=200))
+def test_gate_turns_away_only_pairs_that_cannot_certify(k, h, digits):
+    for method, cap in TIME_CAPS.items():
+        if cap is not None and k * h > cap:
+            continue
+        for index, num, den in turned_away(k, h, digits, method):
+            assert reference_certify(num, h * den, k, h, digits) is None, (method, k, h, index)
+
+
+@st.composite
+def gate_edge_pairs(draw):
+    """(k, h, digits, A, B) for a candidate A / (h B) of sqrt(k/h) at a
+    few digits: A within a few thousand of sqrt(h k) B, or anywhere below
+    2^14, so that the pair is as often just within reach of the root as
+    just out of it, and the gate's bit lengths are as often near their
+    bounds."""
+    k = draw(st.integers(min_value=1, max_value=10 ** 4))
+    h = draw(st.integers(min_value=1, max_value=10 ** 4))
+    digits = draw(st.integers(min_value=1, max_value=4))
+    b = draw(st.integers(min_value=1, max_value=2 ** 12))
+    near = isqrt(k * h * b * b) + draw(st.integers(min_value=-4096, max_value=4096))
+    a = draw(st.one_of(st.just(max(near, 0)), st.integers(min_value=0, max_value=2 ** 14)))
+    return k, h, digits, a, b
+
+
+@given(gate_edge_pairs())
+# pairs that certify which the gate would turn away one bit tighter
+# (the first two), two bits tighter, without bits(isqrt(K) + 1) (the
+# next two) or without bits(h); then a zero norm, which the gate would
+# turn away on bit lengths alone
+@example((71, 49, 1, 3948, 62))
+@example((89, 31, 1, 3035, 61))
+@example((5, 31, 1, 77, 5))
+@example((25, 6117, 1, 67, 46))
+@example((1, 103, 1, 3, 11))
+@example((4, 5, 1, 12, 3))
+@example((9, 1, 3, 3, 1))
+def test_gate_keeps_every_pair_that_certifies(case):
+    # an engine whose first candidate is (A, B), of norm A^2 - K B^2, and
+    # whose later ones are NEWTON's, which certify within a few steps at
+    # these digits: approximate certifies at index 1 exactly when the
+    # reference certifies A / (h B)
+    k, h, digits, a, b = case
+    newton = approx._convergents
+
+    def engine(k, h, method):
+        yield 1, a, b, a * a - k * h * b * b, 1
+        for index, *rest in islice(newton(k, h, Method.NEWTON), 64):
+            yield index + 1, *rest
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approx, "_convergents", engine)
+        got = approximate(k, h, digits, Method.NEWTON)
+    certifies = reference_certify(a, h * b, k, h, digits) is not None
+    assert (got.n_used == 1) == certifies, case
+    assert got.digits == truth_digits(k, h, digits), case
+
+
 @pytest.mark.parametrize("k, h", [(1, 1), (2, 1), (7, 1), (9, 1), (10 ** 4, 1),
                                   (1, 3), (2, 3), (9, 4), (3, 12), (10 ** 4, 9973)])
 def test_linear_engine_carries_the_residual(k, h):
-    # LINEAR hands over coupled_stream's pairs (A, h C) at their indices,
-    # and leaves out only pairs that cannot certify, on the residual it
-    # carries.  It walks about 10^5 steps on K = 10^4 9973 before 17
-    # digits come within reach, so that K is checked at one digit.
-    for digits in (1, 17, 60) if k * h <= 10 ** 4 else (1,):
-        stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
-        next(stream)  # n = 0 has denominator 0 in the uv family
-        engine = _convergents(k, h, Method.LINEAR, (10 ** digits).bit_length())
-        for index, a, c, r, t in islice(engine, 50):
-            pair = next(stream)
-            while pair.n < index:
-                assert reference_certify(pair.num, pair.den, k, h, digits) is None, (k, h, pair.n)
-                pair = next(stream)
-            assert (index, a, h * c) == (pair.n, pair.num, pair.den), (k, h, digits)
-            assert (r, t) == (a * a - k * h * c * c, 1), (k, h, index)
+    # LINEAR hands over each of coupled_stream's pairs (A, h C) at its
+    # index, 1, 2, 3, ..., with the residual it carries as the norm
+    stream = coupled_stream(SeqSpec(Family.AB, k=k) if h == 1 else SeqSpec(Family.UV, k=k, h=h))
+    next(stream)  # n = 0 has denominator 0 in the uv family
+    for (index, a, c, r, t), pair in islice(zip(_convergents(k, h, Method.LINEAR), stream), 50):
+        assert (index, a, h * c) == (pair.n, pair.num, pair.den), (k, h)
+        assert (r, t) == (a * a - k * h * c * c, 1), (k, h, index)
 
 
 @given(st.integers(min_value=1, max_value=10 ** 4),
@@ -682,11 +753,10 @@ def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
     # powers of 1 + sqrt(h k); approximate reads A / B as A / (h B) and
     # builds LINEAR's and JUMP's error bounds without gcd(a, b) on the
     # strength of this and of gcd(A, h) holding all that A and h B share
-    # beyond twos.  On a large K LINEAR's first pair within a digit of the
-    # root comes some thousand steps in, so ten of its pairs are checked.
-    pairs = list(islice(_convergents(k, h, Method.LINEAR, SCALE_BITS), 10))
+    # beyond twos.  LINEAR's first ten pairs are checked.
+    pairs = list(islice(_convergents(k, h, Method.LINEAR), 10))
     if isqrt(k * h) ** 2 != k * h:
-        for index, a, b, f, t in _convergents(k, h, Method.JUMP, SCALE_BITS):
+        for index, a, b, f, t in _convergents(k, h, Method.JUMP):
             if index > 2 ** 12:
                 break
             assert _strip_twos(a, b) == _strip_twos(*jump_reference(k * h, index))
@@ -702,12 +772,10 @@ def test_linear_and_jump_pairs_are_coprime_once_stripped(k, h):
 def test_every_engine_hands_over_its_pairs_norm(k, h):
     # approximate reads the certified pair's residual off f t^2, so every
     # yielded (A, B, f, t) must have A^2 - K B^2 = f t^2 exactly: JUMP up
-    # to index 2^12, NEWTON's first eight pairs and, where k h <= 10^3,
-    # thirty of LINEAR's
+    # to index 2^12, NEWTON's first eight pairs and LINEAR's first thirty
     radicand = k * h
-    runs = [takewhile(lambda c: c[0] <= 2 ** 12, _convergents(k, h, Method.JUMP, SCALE_BITS)),
-            islice(_convergents(k, h, Method.NEWTON, SCALE_BITS), 8)]
-    if radicand <= 10 ** 3:
-        runs.append(islice(_convergents(k, h, Method.LINEAR, SCALE_BITS), 30))
+    runs = [takewhile(lambda c: c[0] <= 2 ** 12, _convergents(k, h, Method.JUMP)),
+            islice(_convergents(k, h, Method.NEWTON), 8),
+            islice(_convergents(k, h, Method.LINEAR), 30)]
     for index, a, b, f, t in chain(*runs):
         assert f * t * t == a * a - radicand * b * b, (k, h, index)

@@ -1,4 +1,4 @@
-"""Mutation gate for the digit certificate and the error bound.
+"""Mutation gate for approximate's gate, the digit certificate and the error bound.
 
 Usage, from the repository root:
 
@@ -18,8 +18,9 @@ so that every run draws the same examples.  A failing run kills the
 mutant.  A row marked equivalent says why the edit cannot change an
 output; it is checked for its text but not run.  The unedited copy runs
 first and must pass.  The exit code is 0 when it passes and every other
-row is killed.  Uses the standard library only, apart from the pytest
-and Hypothesis the tests need.
+row is killed.  Each row's line gives its seconds, and the last line
+the total.  Uses the standard library only, apart from the pytest and
+Hypothesis the tests need.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,7 +48,38 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # _certify: the bit-length early-out and its root exception
+    # approximate: the gate on each candidate's norm, before anything
+    # reduces, cuts or converts it
+    Mutant("approx.py",
+           "if f and t and (f.bit_length()",
+           "if (f.bit_length()",
+           "a pair of norm 0, on the root, is turned away on bit lengths"),
+    Mutant("approx.py",
+           "slack = scale_bits - 4",
+           "slack = scale_bits - 3",
+           "the gate is one bit tighter than its proof and turns away pairs "
+           "that certify"),
+    Mutant("approx.py",
+           "slack = scale_bits - 4",
+           "slack = scale_bits - 2",
+           "the gate is two bits tighter than its proof and turns away pairs "
+           "that certify"),
+    Mutant("approx.py",
+           "+ 2 * t.bit_length() + slack",
+           "+ t.bit_length() + slack",
+           "the gate reads t, not t^2, so pairs too far to certify reach the "
+           "certificate and convert"),
+    Mutant("approx.py",
+           "den_bits + root_bits)",
+           "den_bits)",
+           "the gap's denominator leaves out B sqrt(K), so a pair far below the "
+           "root that certifies is turned away"),
+    Mutant("approx.py",
+           ">= h_bits + den_bits",
+           ">= den_bits",
+           "the gap's denominator leaves out h, so for h > 1 pairs that "
+           "certify are turned away"),
+    # certify_digits: the bit-length early-out and its root exception
     Mutant("approx.py",
            "narrow = (h.bit_length() + b.bit_length()",
            "narrow = (b.bit_length()",
@@ -61,28 +94,6 @@ MUTANTS = (
            "if narrow and (root is None or h * a != root * b):",
            "if narrow:",
            "a narrow pair on a rational root (h k a square) is turned away"),
-    # _certify: the cut residual's test
-    Mutant("approx.py",
-           "residual.bit_length() + scale_bits - 3",
-           "residual.bit_length() + scale_bits - 1",
-           "the residual test claims a gap of 2^(1 - scale_bits), which can be "
-           "under 10^-digits, and turns away pairs that certify"),
-    Mutant("approx.py",
-           "residual.bit_length() + scale_bits - 3",
-           "residual.bit_length() + scale_bits - 4",
-           "the residual test turns fewer pairs away",
-           "a smaller constant proves a wider gap before turning a pair away, so "
-           "it only turns fewer pairs away; the proposal and the proofs after it "
-           "decide those as before"),
-    Mutant("approx.py",
-           "            >= h.bit_length() + den_bits",
-           "            < h.bit_length() + den_bits",
-           "the residual test turns away the pairs near the root instead of the far ones"),
-    Mutant("approx.py",
-           "    if root is None:\n        residual",
-           "    if True:\n        residual",
-           "on a square h k a cut pair on the root has residual 0, which the test "
-           "reads as 2^-1 and turns away"),
     # _certify: the uncut proposal, the interval proof and the full-pair fallback
     Mutant("approx.py",
            "if t != proposal:",
@@ -122,6 +133,21 @@ MUTANTS = (
            "        square += 2 * t + 1\n",
            "        square += 2 * t\n",
            "the square above t^2 is one short, so t + 1 can be taken for the floor"),
+    # _strip_twos and _power_of_ten_bits
+    Mutant("approx.py",
+           "shift = ((a | b) & -(a | b)).bit_length() - 1",
+           "shift = (b & -b).bit_length() - 1",
+           "b's twos are divided out of a too, which drops bits of a that b "
+           "does not share and moves the ratio"),
+    Mutant("approx.py",
+           "        return low + 1\n",
+           "        return low\n",
+           "10^digits is taken one bit narrower than it is"),
+    Mutant("approx.py",
+           "if low == digits * _LOG2_10_ABOVE[0] // _LOG2_10_ABOVE[1]:",
+           "if True:",
+           "where the bounds on log2(10) give different floors the lower one "
+           "is taken, one bit short at 174452 digits"),
     # _coprime_error_bound: the root branch's gcds by h
     Mutant("approx.py",
            "shared = gcd(y % h, h) * gcd(b % h, h)",
@@ -230,19 +256,23 @@ def main() -> int:
             stale = True
     if stale:
         return 1
+    began = time.perf_counter()
     if fails(None):
         print("the tests fail on the unedited copy")
         return 1
+    print(f"   unedited   {time.perf_counter() - began:6.1f} s", flush=True)
     survived = 0
     for number, row in enumerate(MUTANTS, 1):
         if row.equivalent:
-            print(f"{number:2} equivalent  {row.module}: {row.equivalent}")
+            print(f"{number:2} equivalent           {row.module}: {row.equivalent}")
             continue
+        start = time.perf_counter()
         killed = fails(row)
         survived += not killed
-        print(f"{number:2} {'killed' if killed else 'SURVIVED':10}  {row.module}: {row.breaks}",
-              flush=True)
-    print(f"{len(MUTANTS)} mutants, {survived} non-equivalent survived")
+        print(f"{number:2} {'killed' if killed else 'SURVIVED':10} "
+              f"{time.perf_counter() - start:6.1f} s  {row.module}: {row.breaks}", flush=True)
+    print(f"{len(MUTANTS)} mutants, {survived} non-equivalent survived, "
+          f"{time.perf_counter() - began:.1f} s in all")
     return 1 if survived else 0
 
 
