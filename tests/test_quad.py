@@ -1,9 +1,11 @@
 """Quadratic surd arithmetic: the p + q*sqrt(d) ring and its checks."""
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from surdseq import quad
 from surdseq.quad import QuadSurd, _square_norm, surd_pow, surd_square
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
@@ -64,7 +66,7 @@ def test_ring_laws(x, y, z):
     assert (x * y) * z == x * (y * z)
 
 
-@given(surds, st.integers(min_value=0, max_value=6))
+@given(surds, st.integers(min_value=0, max_value=40))
 def test_power_matches_repeated_product(x, e):
     expected = QuadSurd(1, 0, x.radicand)
     for _ in range(e):
@@ -86,22 +88,53 @@ def test_surd_pow_matches_the_fraction_route(p, q, d, e):
 
 
 def test_pow_squares_only_while_bits_remain(monkeypatch):
-    # one squaring per bit below the top and one multiply per set bit:
+    # one squaring per bit below the top and one product per set bit:
     # a squaring past the top bit would be thrown away
-    calls = 0
-    multiply = QuadSurd.__mul__
+    calls = {}
 
-    def counting(self, other):
-        nonlocal calls
-        calls += 1
-        return multiply(self, other)
+    def counting(name):
+        honest = getattr(quad, name)
 
-    monkeypatch.setattr(QuadSurd, "__mul__", counting)
+        def spy(*args):
+            calls[name] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(quad, name, spy)
+
+    counting("_pair_square")
+    counting("_pair_product")
     base = QuadSurd(1, 1, 2)
     for e in range(1, 65):
-        calls = 0
+        calls.update(_pair_square=0, _pair_product=0)
         base ** e
-        assert calls == e.bit_length() - 1 + bin(e).count("1"), e
+        assert calls == {"_pair_square": e.bit_length() - 1,
+                         "_pair_product": bin(e).count("1")}, e
+
+
+@pytest.mark.parametrize("p,q,d", [(1, 1, 2), (-3, 5, 110), (Fraction(2, 3), Fraction(-5, 7), 330),
+                                   (Fraction(1, 2), 3, 0), (4, Fraction(1, 6), 49)])
+def test_fraction_route_reaches_no_kernel_code(p, q, d):
+    # test_surd_pow_matches_the_fraction_route and jump_reference in
+    # tests/test_certificate.py check the kernel against QuadSurd, which
+    # proves something only while QuadSurd computes without the kernel
+    reached = set()
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("surdseq"):
+            reached.add(frame.f_code)
+
+    x = QuadSurd(p, q, d)
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for e in range(65):
+            x ** e
+        x * x
+    finally:
+        sys.setprofile(previous)
+    assert QuadSurd.__pow__.__code__ in reached and QuadSurd.__mul__.__code__ in reached
+    kernel = {fn.__code__ for fn in (surd_pow, surd_square, _square_norm)}
+    assert not reached & kernel
 
 
 def test_surd_pow_edges():

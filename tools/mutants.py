@@ -1,4 +1,5 @@
-"""Mutation gate for approximate's gate, the digit certificate and the error bound.
+"""Mutation gate for approximate's gate, the digit certificate, the error
+bound and the exact decimal conversions the certificate formats through.
 
 Usage, from the repository root:
 
@@ -217,6 +218,34 @@ MUTANTS = (
            "            norm //= common\n",
            "",
            "NEWTON's t keeps the gcd by K the step divided out"),
+    # decimal_str: the pieces str() formats below _DECIMAL_CUTOFF digits
+    Mutant("exact.py",
+           'pieces.append(piece.rjust(width, "0") if pieces else piece)',
+           "pieces.append(piece)",
+           "a piece after the first loses its leading zeros, so digits drop "
+           "out of a number wider than _STR_PIECE"),
+    Mutant("exact.py",
+           "            pending.append((rest, low))\n"
+           "            pending.append((high, width - low))",
+           "            pending.append((high, width - low))\n"
+           "            pending.append((rest, low))",
+           "the low half of a split is formatted before the high half"),
+    # _to_decimal: binary splitting on powers of two, under _EXACT
+    Mutant("exact.py",
+           "powers[w] = power(low) * power(w - low)",
+           "powers[w] = power(low) * power(low)",
+           "2^w is taken as 2^(w - 1) for odd w, so a wide int converts to "
+           "the wrong Decimal"),
+    Mutant("exact.py",
+           "convert(high, w - low) * power(low)",
+           "convert(high, w - low) * power(w - low)",
+           "at an odd width w the high half is weighed by 2^(w - low), twice "
+           "its place value 2^low"),
+    Mutant("exact.py",
+           "    with decimal.localcontext(_EXACT):\n        return convert(n, n.bit_length())",
+           "    return convert(n, n.bit_length())",
+           "the conversion runs under the caller's context, so decimal_str "
+           "rounds a wide int to 28 significant digits"),
 )
 
 
