@@ -77,12 +77,14 @@ def test_jump_rejects_square_kh(k, h, monkeypatch):
     # for a square k h = s^2 every jump power lies below the rational
     # root s / h, so JUMP rejects them all and proposes s / h itself,
     # which certifies at index 1 with error bound 0 on ints (cutoff None)
-    # and on Decimal integers (cutoff 0) alike
+    # and on Decimal integers (cutoff 0) alike; the cutoff holds for the
+    # one call, so every truth formats under the default cutoff
     for digits in (1, 7, 300, 3 * 10 ** 4, 6 * 10 ** 4):
         truth = format_truth(k, h, digits)
         for cutoff in (None, 0):
-            monkeypatch.setattr(exact, "_DECIMAL_CUTOFF", cutoff)
-            result = approximate(k, h, digits, Method.JUMP)
+            with monkeypatch.context() as patch:
+                patch.setattr(exact, "_DECIMAL_CUTOFF", cutoff)
+                result = approximate(k, h, digits, Method.JUMP)
             assert result.digits == truth, (cutoff, digits)
             assert (result.n_used, result.error_bound) == (1, 0)
 

@@ -44,8 +44,9 @@ from surdseq.approx import (
 )
 from surdseq.exact import decimal_str
 from surdseq.newton import newton_run
-from surdseq.quad import QuadSurd
 from surdseq.sequences import Family, SeqSpec, coupled_stream
+
+from quad_oracle import QuadSurd
 
 # None keeps every certificate and format on ints, 0 puts them on Decimal
 CUTOFFS = (None, 0)
@@ -86,8 +87,8 @@ def reference_error_bound(a, b, k, h):
 
 def jump_reference(radicand, index):
     """(A, B) at one JUMP index: A + B sqrt(K) = (1 + sqrt(K))^(index + 1)
-    for K = radicand, by Fraction QuadSurd powering, which shares no code
-    with the engine beyond int."""
+    for K = radicand, by the Fraction oracle's QuadSurd powering, which
+    shares no code with the engine beyond int."""
     x = QuadSurd(1, 1, radicand) ** (index + 1)
     return int(x.rat), int(x.coef)
 
@@ -439,6 +440,24 @@ def test_newton_engine_pairs_are_the_orbit_in_lowest_terms(k, h):
         assert gcd(a, b) == 1, (k, h, index)
         assert a * y == h * b * x, (k, h, index)
         assert (f, t * t) == (1, a * a - k * h * b * b), (k, h, index)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int->str digit cap")
+def test_decimal_branch_formats_wide_ints_as_str_does():
+    # cutoff 0 sends every int through _to_decimal; odd, even, all-nines
+    # and odd-width values, most far wider than the default context's 28
+    # digits, so a conversion that rounds anywhere shows here
+    values = [0, 1, 7, 2 ** 128 - 1, 2 ** 128, 2 ** 129 + 1, 3 ** 5001, 10 ** 4000 - 1,
+              -(7 ** 3001), 2 ** 40_001 - 3 ** 9_001, 10 ** 30_000 + 9]
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        with decimal_cutoff(0):
+            for n in values:
+                assert decimal_str(n) == str(n), n.bit_length()
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -1,4 +1,7 @@
-"""Quadratic surd arithmetic: the p + q*sqrt(d) ring and its checks."""
+"""Quadratic surd arithmetic: the integer kernel for p + q*sqrt(d), and
+the Fraction oracle (tests/quad_oracle.py) it is checked against."""
+import ast
+import inspect
 import sys
 from fractions import Fraction
 
@@ -6,7 +9,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from surdseq import quad
-from surdseq.quad import QuadSurd, _square_norm, surd_pow, surd_square
+from surdseq.quad import _square_norm, surd_pow, surd_square
+
+import quad_oracle
+from quad_oracle import QuadSurd
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 surds = st.builds(QuadSurd, rationals, rationals, st.integers(min_value=0, max_value=30))
@@ -93,13 +99,13 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     calls = {}
 
     def counting(name):
-        honest = getattr(quad, name)
+        honest = getattr(quad_oracle, name)
 
         def spy(*args):
             calls[name] += 1
             return honest(*args)
 
-        monkeypatch.setattr(quad, name, spy)
+        monkeypatch.setattr(quad_oracle, name, spy)
 
     counting("_pair_square")
     counting("_pair_product")
@@ -120,7 +126,7 @@ def test_fraction_route_reaches_no_kernel_code(p, q, d):
     reached = set()
 
     def record(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("surdseq"):
+        if event == "call":
             reached.add(frame.f_code)
 
     x = QuadSurd(p, q, d)
@@ -143,3 +149,16 @@ def test_surd_pow_edges():
     assert surd_pow(5, -3, 7, 1) == (5, -3)
     with pytest.raises(ValueError):
         surd_pow(1, 1, 2, -1)
+
+
+def test_kernel_holds_no_fraction_code():
+    # surdseq.quad is the integer kernel alone: it imports no fractions
+    # and binds no Fraction, so nothing in it can fall back on rationals
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(quad))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "fractions" not in imported
+    assert not any(value is Fraction for value in vars(quad).values())
