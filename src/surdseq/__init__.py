@@ -23,7 +23,7 @@ _EXPORTS = {
                "newton_start", "newton_step"),
     "products": ("ProductState", "cd_closed_form", "cd_run", "partial_product",
                  "product_limit_gap"),
-    "quad": ("surd_pow", "surd_square"),
+    "quad": ("surd_pow",),
     "sequences": ("Family", "SeqSpec", "SequenceName", "TermPair", "binomial_term",
                   "closed_form_term", "coupled_iterate", "coupled_stream", "genfunc_coeffs",
                   "recurrence", "reduced_cd", "second_order_iterate", "terms"),

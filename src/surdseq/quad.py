@@ -1,11 +1,11 @@
 """The integer kernel for surd powers: (p + q sqrt(d))^e on plain ints.
 
-surd_square and surd_pow power p + q sqrt(d), and _square_norm is their
-one squaring body, which also hands the approx engines each pair's
-norm; binomial_part reaches the same numbers by binomial sums.  The
-radicand is carried along unsimplified, so sqrt(4) stays a formal
-symbol instead of collapsing to 2.  The tests check the kernel against
-a Fraction oracle that shares no code with it.
+surd_pow powers p + q sqrt(d), and _square_norm is its squaring body,
+which also hands the approx engines each pair's norm; binomial_part
+reaches the same numbers by binomial sums.  The radicand is carried
+along unsimplified, so sqrt(4) stays a formal symbol instead of
+collapsing to 2.  The tests check the kernel against a Fraction oracle
+that shares no code with it.
 """
 from __future__ import annotations
 
@@ -21,14 +21,6 @@ def _square_norm(p: int, q: int, d: int) -> tuple[int, int, int]:
     sum of."""
     square, d_square = p * p, d * (q * q)
     return square + d_square, (p * q) << 1, square - d_square
-
-
-def surd_square(p: int, q: int, d: int) -> tuple[int, int]:
-    """(P, Q) with P + Q sqrt(d) = (p + q sqrt(d))^2."""
-    require_int("p", p)
-    require_int("q", q)
-    require_int("d", d)
-    return _square_norm(p, q, d)[:2]
 
 
 def surd_pow(p: int, q: int, d: int, e: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
-from .exact import ConsistencyError, require_int
+from .exact import require_int
 from .newton import newton_run
 from .products import cd_run
 from .quad import binomial_part, surd_pow
@@ -227,33 +227,22 @@ def binomial_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
     return factor * binomial_part(rad, e, odd)
 
 
-def _unit_power(rad: int, e: int) -> tuple[Fraction, Fraction]:
-    """(r, c) with r + c sqrt(rad) = (1 + sqrt(rad))^e, e >= 0, on Fractions
-    from the top bit of e down: (1, 1) at the top bit, then per lower bit
-    a squaring (r^2 + rad c^2, 2 r c) and, where the bit is set, a step
-    by 1 + sqrt(rad), (r + rad c, r + c), which only adds.  Plain
-    Fraction arithmetic, none of the integer kernel."""
-    if not e:
-        return Fraction(1), Fraction(0)
-    r = c = Fraction(1)
+def closed_form_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
+    """One term at full index n, read off (1 + sqrt(K))^e = r + c sqrt(K)
+    powered in Q(sqrt(K)) on a Fraction pair (r, c): the coefficient c
+    for an odd part, the rational part r otherwise, times the term's
+    factor.  From the top bit of e down: (1, 1) at the top bit, (1, 0)
+    at e = 0, then per lower bit a squaring (r^2 + K c^2, 2 r c) and,
+    where the bit is set, a step by 1 + sqrt(K), (r + K c, r + c), which
+    only adds.  Plain Fraction arithmetic, none of the integer kernel.
+    """
+    rad, e, odd, factor = _term_form(name, k, n, h)
+    r, c = Fraction(1), Fraction(1 if e else 0)
     for bit in bin(e)[3:]:
         r, c = r * r + c * c * rad, r * c * 2
         if bit == "1":
             r, c = r + c * rad, r + c
-    return r, c
-
-
-def closed_form_term(name: SequenceName, k: int, n: int, h: int = 1) -> int:
-    """One term at full index n, read off (1 + sqrt(K))^e powered in
-    Q(sqrt(K)) on a Fraction pair (_unit_power): the sqrt(K) coefficient
-    for an odd part, the rational part otherwise, times the term's
-    factor.  That the part is an integer is checked rather than assumed.
-    """
-    rad, e, odd, factor = _term_form(name, k, n, h)
-    part = _unit_power(rad, e)[odd]
-    if part.denominator != 1:
-        raise ConsistencyError(f"closed form produced a non-integer: {part}")
-    return factor * part.numerator
+    return factor * (c if odd else r).numerator
 
 
 def genfunc_coeffs(numer: Sequence[int], denom: Sequence[int], count: int) -> list[int]:

@@ -2,24 +2,19 @@
 yardstick for the pair recurrences and the engine race that `surdseq bench`
 runs over approximate."""
 import json
-import math
 import sys
 from fractions import Fraction
 
 import pytest
 
-from surdseq import exact
 from surdseq.approx import Method, approximate, certify_digits, floor_root_scaled
 from surdseq.cli import main
-from surdseq.exact import cmp_to_root, decimal_str
+from surdseq.exact import cmp_to_root
 from surdseq.identities import fast_term
 from surdseq.newton import newton_run
 from surdseq.sequences import Family, SeqSpec, coupled_iterate
 
-
-def format_truth(k, h, digits):
-    raw = decimal_str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
-    return raw[:-digits] + "." + raw[-digits:]
+from oracles import CUTOFFS, cf_pairs, decimal_cutoff, truth_digits
 
 
 def test_floor_root_scaled_known_values():
@@ -56,7 +51,7 @@ def test_certify_validation():
 def test_certified_digits_match_ground_truth(method, k):
     for digits in (5, 25):
         result = approximate(k, 1, digits, method)
-        assert result.digits == format_truth(k, 1, digits)
+        assert result.digits == truth_digits(k, 1, digits)
         assert result.method is method
 
 
@@ -68,22 +63,21 @@ def test_rational_target_certifies_instantly():
 def test_uv_methods_agree_with_truth():
     for method in Method:
         result = approximate(2, 3, 12, method)
-        assert result.digits == format_truth(2, 3, 12)
+        assert result.digits == truth_digits(2, 3, 12)
 
 
 @pytest.mark.parametrize("k, h", [(1, 1), (4, 1), (9, 1), (10 ** 6, 1),
                                   (2, 8), (3, 12), (1, 4), (5, 5)])
-def test_jump_rejects_square_kh(k, h, monkeypatch):
+def test_jump_rejects_square_kh(k, h):
     # for a square k h = s^2 every jump power lies below the rational
     # root s / h, so JUMP rejects them all and proposes s / h itself,
     # which certifies at index 1 with error bound 0 on ints (cutoff None)
     # and on Decimal integers (cutoff 0) alike; the cutoff holds for the
-    # one call, so every truth formats under the default cutoff
+    # one call, and every truth formats on ints
     for digits in (1, 7, 300, 3 * 10 ** 4, 6 * 10 ** 4):
-        truth = format_truth(k, h, digits)
-        for cutoff in (None, 0):
-            with monkeypatch.context() as patch:
-                patch.setattr(exact, "_DECIMAL_CUTOFF", cutoff)
+        truth = truth_digits(k, h, digits)
+        for cutoff in CUTOFFS:
+            with decimal_cutoff(cutoff):
                 result = approximate(k, h, digits, Method.JUMP)
             assert result.digits == truth, (cutoff, digits)
             assert (result.n_used, result.error_bound) == (1, 0)
@@ -182,34 +176,17 @@ def test_newton_doubles_correct_digits():
                 assert got[n + 1] >= 2 * got[n]
 
 
-def cf_convergents(k, count):
-    """First continued-fraction convergents of sqrt(k), k nonsquare: a
-    yardstick that shares no code with the pair recurrences."""
-    a0 = math.isqrt(k)
-    m, d, a = 0, 1, a0
-    h_cur, h_prev = a0, 1
-    k_cur, k_prev = 1, 0
-    out = [Fraction(h_cur, k_cur)]
-    while len(out) < count:
-        m = d * a - m
-        d = (k - m * m) // d
-        a = (a0 + m) // d
-        h_cur, h_prev = a * h_cur + h_prev, h_cur
-        k_cur, k_prev = a * k_cur + k_prev, k_cur
-        out.append(Fraction(h_cur, k_cur))
-    return out
-
-
 def test_cf_convergents_known_values():
-    assert cf_convergents(2, 4) == [
-        Fraction(1), Fraction(3, 2), Fraction(7, 5), Fraction(17, 12)]
-    assert cf_convergents(7, 4) == [
-        Fraction(2), Fraction(3), Fraction(5, 2), Fraction(8, 3)]
+    # sqrt(2) = [1; 2, 2, ...], sqrt(7) = [2; 1, 1, 1, 4, ...] and
+    # sqrt(2/3) = [0; 1, 4, 2, 4, ...]
+    assert cf_pairs(2, 1, 4) == [(1, 1), (3, 2), (7, 5), (17, 12)]
+    assert cf_pairs(7, 1, 4) == [(2, 1), (3, 1), (5, 2), (8, 3)]
+    assert cf_pairs(2, 3, 4) == [(0, 1), (1, 1), (4, 5), (9, 11)]
 
 
 def test_base_pair_ratios_are_cf_convergents_for_small_k():
     for k in (2, 3):
-        cf = set(cf_convergents(k, 40))
+        cf = {Fraction(p, q) for p, q in cf_pairs(k, 1, 40)}
         for t in coupled_iterate(SeqSpec(Family.AB, k=k), 16):
             assert Fraction(t.num, t.den) in cf
 
@@ -225,7 +202,7 @@ def test_bench_methods_agree_and_rank(capsys):
     code, rows = bench(capsys, 2, 50)
     assert code == 0
     assert len({row["digits"] for row in rows}) == 1
-    assert rows[0]["digits"] == format_truth(2, 1, 50)
+    assert rows[0]["digits"] == truth_digits(2, 1, 50)
     by_method = {Method(row["method"]): row for row in rows}
     assert int(by_method[Method.NEWTON]["n_used"]) < int(by_method[Method.LINEAR]["n_used"])
     for row in rows:

@@ -15,14 +15,13 @@ walks the paper's own orbits through their public functions, or
 Fraction arithmetic where those do not reach, not the engines
 approximate runs.  The one certificate runs on ints below
 exact._DECIMAL_CUTOFF digits and on Decimal integers from it on;
-decimal_cutoff moves the cutoff, so both number types meet the
+decimal_cutoff (tests/oracles.py) moves the cutoff, so both number types meet the
 references at any width.
 """
 import decimal
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from datetime import timedelta
 from fractions import Fraction
 from itertools import chain, count, islice, takewhile
@@ -46,28 +45,7 @@ from surdseq.exact import decimal_str
 from surdseq.newton import newton_run
 from surdseq.sequences import Family, SeqSpec, coupled_stream
 
-from quad_oracle import QuadSurd
-
-# None keeps every certificate and format on ints, 0 puts them on Decimal
-CUTOFFS = (None, 0)
-
-
-@contextmanager
-def decimal_cutoff(value):
-    """Run the block with exact._DECIMAL_CUTOFF set to value."""
-    saved = exact._DECIMAL_CUTOFF
-    exact._DECIMAL_CUTOFF = value
-    try:
-        yield
-    finally:
-        exact._DECIMAL_CUTOFF = saved
-
-
-def truth_digits(k, h, digits):
-    """floor_root_scaled as a digit string, formatted on ints."""
-    with decimal_cutoff(None):
-        raw = decimal_str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
-    return raw[:-digits] + "." + raw[-digits:]
+from oracles import CUTOFFS, QuadSurd, cf_pairs, decimal_cutoff, truth_digits
 
 
 def reference_certify(a, b, k, h, digits):
@@ -355,23 +333,6 @@ def test_certify_when_the_cut_proposal_is_one_off(a, b, shift, quotient, proposa
                 assert certify_digits(a, b, k, 1, 1) == want, (k, cutoff)
 
 
-def cf_pairs(k, h, count):
-    """Continued-fraction convergents (p, q) of sqrt(k/h), kh nonsquare:
-    the closest pairs any denominator allows, so a certificate that
-    turned pairs away on a loose bound would miss some of them."""
-    n, root = k * h, isqrt(k * h)
-    m, d = 0, h
-    p_prev, p, q_prev, q = 0, 1, 1, 0
-    out = []
-    for _ in range(count):
-        term = (m + root) // d
-        p_prev, p, q_prev, q = p, term * p + p_prev, q, term * q + q_prev
-        out.append((p, q))
-        m = d * term - m
-        d = (n - m * m) // d
-    return out
-
-
 @pytest.mark.parametrize("k, h", [
     (2, 1), (2, 7), (1, 10001), (1350, 101), (3, 10 ** 4 + 7), (10 ** 6 + 3, 9973)])
 def test_certify_on_best_approximations(k, h):
@@ -648,8 +609,7 @@ def test_engines_match_floor_root_scaled(k, h, digits):
     # one domain: every engine takes every k, h >= 1; the int and
     # Decimal paths give the same result, error bound in the same terms
     # included
-    raw = str(floor_root_scaled(k, h, digits)).rjust(digits + 1, "0")
-    truth = raw[:-digits] + "." + raw[-digits:]
+    truth = truth_digits(k, h, digits)
     for method, cap in TIME_CAPS.items():
         if cap is not None and k * h > cap:
             continue

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from surdseq import exact
 from surdseq.exact import _to_decimal, cmp_to_root, decimal_str, isqrt, perfect_square_root
+
+from oracles import CUTOFFS, decimal_cutoff
 
 # ints across the str() piece size and powers of ten, plus random ones
 # short enough for str() under the default int->str cap
@@ -97,10 +98,10 @@ def test_to_decimal_is_exact_and_keeps_the_callers_context():
     assert decimal.getcontext() is context and repr(context) == before
 
 
-@pytest.mark.parametrize("cutoff", [None, 0])
-def test_decimal_text_on_ints_and_on_decimal(monkeypatch, cutoff):
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_decimal_text_on_ints_and_on_decimal(cutoff):
     # None formats by divide and conquer with str(), 0 through Decimal
-    monkeypatch.setattr(exact, "_DECIMAL_CUTOFF", cutoff)
-    for n in DECIMAL_CASES:
-        text = str(n)
-        assert decimal_str(n) == text and decimal_str(-n) == ("-" + text if n else "0")
+    with decimal_cutoff(cutoff):
+        for n in DECIMAL_CASES:
+            text = str(n)
+            assert decimal_str(n) == text and decimal_str(-n) == ("-" + text if n else "0")

@@ -1,18 +1,18 @@
 """Quadratic surd arithmetic: the integer kernel for p + q*sqrt(d), and
-the Fraction oracle (tests/quad_oracle.py) it is checked against."""
+the Fraction oracle (tests/oracles.py) it is checked against."""
 import ast
 import inspect
-import sys
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from surdseq import quad
-from surdseq.quad import _square_norm, surd_pow, surd_square
+from surdseq.quad import _square_norm, surd_pow
 
-import quad_oracle
-from quad_oracle import QuadSurd
+import oracles
+from oracles import QuadSurd, calls_under
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 surds = st.builds(QuadSurd, rationals, rationals, st.integers(min_value=0, max_value=30))
@@ -32,8 +32,19 @@ def test_construction_coerces_to_fractions():
 
 
 def test_negative_radicand_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("radicand must be at least 0, got -2")):
         QuadSurd(1, 1, -2)
+    assert QuadSurd(1, 1, 0).radicand == 0
+
+
+@pytest.mark.parametrize("value", [2.0, Fraction(2)], ids=["float", "Fraction"])
+def test_oracle_checks_its_ints(value):
+    # the oracle keeps the package's argument rule: a radicand and an
+    # exponent are ints
+    with pytest.raises(ValueError, match="radicand must be an int"):
+        QuadSurd(1, 1, value)
+    with pytest.raises(ValueError, match="e must be an int"):
+        QuadSurd(1, 1, 2) ** value
 
 
 def test_epsilon_squares_to_alpha():
@@ -60,7 +71,7 @@ def test_power_rules():
     assert x ** 0 == QuadSurd(1, 0, 3)
     assert x ** 1 == x
     assert x ** 5 == x * x * x * x * x
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("e must be at least 0, got -1")):
         x ** -1
 
 
@@ -87,7 +98,6 @@ def test_surd_pow_matches_the_fraction_route(p, q, d, e):
     x = QuadSurd(p, q, d) ** e
     assert surd_pow(p, q, d, e) == (x.rat, x.coef)
     y = QuadSurd(p, q, d) * QuadSurd(p, q, d)
-    assert surd_square(p, q, d) == (y.rat, y.coef)
     # the norm the kernel hands back is the surd times its conjugate
     norm = QuadSurd(p, q, d) * QuadSurd(p, -q, d)
     assert _square_norm(p, q, d) == (y.rat, y.coef, norm.rat)
@@ -99,13 +109,13 @@ def test_pow_squares_only_while_bits_remain(monkeypatch):
     calls = {}
 
     def counting(name):
-        honest = getattr(quad_oracle, name)
+        honest = getattr(oracles, name)
 
         def spy(*args):
             calls[name] += 1
             return honest(*args)
 
-        monkeypatch.setattr(quad_oracle, name, spy)
+        monkeypatch.setattr(oracles, name, spy)
 
     counting("_pair_square")
     counting("_pair_product")
@@ -123,23 +133,11 @@ def test_fraction_route_reaches_no_kernel_code(p, q, d):
     # test_surd_pow_matches_the_fraction_route and jump_reference in
     # tests/test_certificate.py check the kernel against QuadSurd, which
     # proves something only while QuadSurd computes without the kernel
-    reached = set()
-
-    def record(frame, event, arg):
-        if event == "call":
-            reached.add(frame.f_code)
-
     x = QuadSurd(p, q, d)
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        for e in range(65):
-            x ** e
-        x * x
-    finally:
-        sys.setprofile(previous)
+    _, reached = calls_under(lambda: ([x ** e for e in range(65)], x * x),
+                             ("surdseq", oracles.__name__))
     assert QuadSurd.__pow__.__code__ in reached and QuadSurd.__mul__.__code__ in reached
-    kernel = {fn.__code__ for fn in (surd_pow, surd_square, _square_norm)}
+    kernel = {fn.__code__ for fn in (surd_pow, _square_norm)}
     assert not reached & kernel
 
 

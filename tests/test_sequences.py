@@ -1,13 +1,8 @@
 """Sequence families and their four evaluation strategies."""
-import sys
-from fractions import Fraction
-
 import pytest
 from hypothesis import example, given, strategies as st
 
-from surdseq import sequences
-from surdseq.exact import ConsistencyError
-from surdseq.quad import _square_norm, binomial_part, surd_pow, surd_square
+from surdseq.quad import _square_norm, binomial_part, surd_pow
 from surdseq.sequences import (
     Family,
     SeqSpec,
@@ -30,7 +25,7 @@ from surdseq.sequences import (
     terms,
 )
 
-from quad_oracle import QuadSurd
+from oracles import QuadSurd, calls_under
 
 
 def pairs(spec, count):
@@ -150,15 +145,6 @@ def test_binomial_and_closed_match_iteration(name, k, h):
         assert closed_form_term(name, k, n, h) == expected
 
 
-def test_closed_form_checks_what_it_reads_off(monkeypatch):
-    # a power with a half in the part a term reads off is no term
-    monkeypatch.setattr(sequences, "_unit_power", lambda rad, e: (Fraction(1, 2), Fraction(3, 2)))
-    with pytest.raises(ConsistencyError, match="non-integer"):
-        closed_form_term(SequenceName.A, 2, 3)
-    with pytest.raises(ConsistencyError, match="non-integer"):
-        closed_form_term(SequenceName.V, 2, 3, 3)
-
-
 @given(st.integers(min_value=1, max_value=10 ** 4), st.integers(min_value=0, max_value=200))
 @example(2, 0)
 @example(2, 1)
@@ -170,11 +156,11 @@ def test_closed_form_checks_what_it_reads_off(monkeypatch):
 @example(9973, 128)
 @example(10 ** 4, 128)
 def test_closed_form_pair_matches_the_oracle(rad, e):
-    # the pair closed_form_term reads a term off is (1 + sqrt(K))^e as
-    # the Fraction oracle powers it, right to left: e = 0 and the top bit
-    # are the loop's own cases, and a power of two is squarings alone
+    # u_e and v_e are the two parts of (1 + sqrt(K))^e at h = 1, which the
+    # closed form powers left to right and the Fraction oracle right to
+    # left: e = 0 and the top bit are the loop's own cases, and a power
+    # of two is squarings alone
     x = QuadSurd(1, 1, rad) ** e
-    assert sequences._unit_power(rad, e) == (x.rat, x.coef)
     assert closed_form_term(SequenceName.U, rad, e) == x.rat
     assert closed_form_term(SequenceName.V, rad, e) == x.coef
 
@@ -183,22 +169,11 @@ def test_closed_form_reaches_no_kernel_code():
     # verify checks closed_form_term against routes that power through
     # the integer kernel or sum binomials, which proves something only
     # while the closed form computes without either
-    reached = set()
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("surdseq"):
-            reached.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        for name in SequenceName:
-            for n in range(41):
-                closed_form_term(name, 7, n, 3 if name in (SequenceName.U, SequenceName.V) else 1)
-    finally:
-        sys.setprofile(previous)
-    assert sequences._unit_power.__code__ in reached
-    kernel = {fn.__code__ for fn in (surd_pow, surd_square, _square_norm, binomial_part)}
+    _, reached = calls_under(lambda: [
+        closed_form_term(name, 7, n, 3 if name in (SequenceName.U, SequenceName.V) else 1)
+        for name in SequenceName for n in range(41)])
+    assert closed_form_term.__code__ in reached
+    kernel = {fn.__code__ for fn in (surd_pow, _square_norm, binomial_part)}
     assert not reached & kernel
 
 

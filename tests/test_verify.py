@@ -1,12 +1,13 @@
 """Suite runner: coverage, report shape, failure witnessing, and the
 independence of the two sides of every routes row."""
-import sys
 from pathlib import Path
 
 import pytest
 
 from surdseq import exact, sequences, verify
 from surdseq.verify import SUITE_NAMES, _TABLE, _Row, _Streams, _sweep, run_suite
+
+from oracles import calls_under
 
 
 def test_suite_names():
@@ -167,19 +168,8 @@ def _reach(side, keys, k, n_max):
     """side's value at each key, from fresh streams, and the code of every
     surdseq function it reached on the way."""
     s = _Streams(k, n_max)
-    reached = set()
-
-    def record(frame, event, arg):
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("surdseq"):
-            reached.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        values = [side(s, *key) if type(key) is tuple else side(s, key) for key in keys]
-    finally:
-        sys.setprofile(previous)
-    return values, reached
+    return calls_under(lambda: [side(s, *key) if type(key) is tuple else side(s, key)
+                                for key in keys])
 
 
 def _where(code):
