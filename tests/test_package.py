@@ -45,6 +45,8 @@ from surdseq.sequences import (
 )
 from surdseq.verify import run_suite
 
+from oracles import QuadSurd
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in surdseq.__all__ if not hasattr(surdseq, name)]
@@ -158,6 +160,9 @@ INT_ARGS = [
     arg(partial_product, dict(r=3, n=3), "n", 1),
     arg(product_limit_gap, dict(r=3, n=3), "r", 2),
     arg(product_limit_gap, dict(r=3, n=3), "n", 1),
+    # the tests' Fraction oracle keeps the package's argument rule too
+    arg(QuadSurd, dict(rat=1, coef=1, radicand=2), "radicand", 0),
+    arg(QuadSurd(1, 1, 2).__pow__, dict(e=3), "e", 0),
     arg(surd_pow, dict(p=1, q=1, d=2, e=3), "p"),
     arg(surd_pow, dict(p=1, q=1, d=2, e=3), "q"),
     arg(surd_pow, dict(p=1, q=1, d=2, e=3), "d"),

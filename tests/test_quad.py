@@ -37,16 +37,6 @@ def test_negative_radicand_rejected():
     assert QuadSurd(1, 1, 0).radicand == 0
 
 
-@pytest.mark.parametrize("value", [2.0, Fraction(2)], ids=["float", "Fraction"])
-def test_oracle_checks_its_ints(value):
-    # the oracle keeps the package's argument rule: a radicand and an
-    # exponent are ints
-    with pytest.raises(ValueError, match="radicand must be an int"):
-        QuadSurd(1, 1, value)
-    with pytest.raises(ValueError, match="e must be an int"):
-        QuadSurd(1, 1, 2) ** value
-
-
 def test_epsilon_squares_to_alpha():
     for k in (2, 3, 5, 11):
         eps = QuadSurd(1, 1, k)
