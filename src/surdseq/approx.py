@@ -8,7 +8,6 @@ and can only agree with each other or fail loudly.
 """
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
@@ -89,29 +88,27 @@ def _power_of_ten_bits(digits: int) -> int:
 
 
 def _scales(k: int, digits: int) -> tuple:
-    """The context _certify runs under, then its arguments that depend
-    only on the digit count: the bit length of scale = 10^digits, scale
-    and scaled = k scale^2 in the number type the certificate runs on,
-    and convert, which turns an int into that type.  Below
-    _DECIMAL_CUTOFF digits the type is int, which needs no context.
-    From it on it is the libmpdec Decimal integer, exact under _EXACT,
-    and scale and scaled keep their power of ten in the exponent, so
-    no int power of ten is built."""
+    """_certify's arguments that depend only on the digit count, for a
+    caller under _EXACT: the bit length of scale = 10^digits, scale and
+    scaled = k scale^2 in the number type the certificate runs on, and
+    convert, which turns an int into that type.  Below _DECIMAL_CUTOFF
+    digits the type is int.  From it on it is the libmpdec Decimal
+    integer, exact under _EXACT, and scale and scaled keep their power
+    of ten in the exponent, so no int power of ten is built."""
     if not _use_decimal(digits):
         scale = 10 ** digits
-        return nullcontext(), scale.bit_length(), scale, k * scale * scale, int
-    with localcontext(_EXACT):
-        scales = Decimal(1).scaleb(digits), _to_decimal(k).scaleb(2 * digits)
-    return localcontext(_EXACT), _power_of_ten_bits(digits), *scales, _to_decimal
+        return scale.bit_length(), scale, k * scale * scale, int
+    return (_power_of_ten_bits(digits), Decimal(1).scaleb(digits),
+            _to_decimal(k).scaleb(2 * digits), _to_decimal)
 
 
 def _certify(a: int, b: int, h: int, digits: int, scale_bits: int,
              scale, scaled, convert) -> str | None:
     """The proof that a / b certifies, for checked a and b with their
     shared twos stripped, given the rest from _scales, and run under
-    _scales' context; the same steps serve either number type.  It turns
-    no pair away before the proposal: approximate and certify_digits
-    turn away on bit lengths the pairs too far from the root.
+    _EXACT; the same steps serve either number type.  It is exact on
+    any pair and turns none away before the proposal: approximate alone
+    turns away, on the engines' norms, the pairs too far from the root.
 
     a and b are cut, when b is wider than the quotient's width plus
     _GUARD_BITS, to a' = a >> shift and b' = b >> shift.  With
@@ -157,15 +154,8 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     The certificate finds t = floor(10^digits sqrt(k/h)) by comparing
     squares against the scaled radicand and proves that t is
     floor(10^digits a / b), in ints or, for many digits, in exact
-    Decimal integers.
-
-    A pair too narrow to certify is turned away first, on bit lengths.
-    A pair that certifies lies within 10^-digits of x = sqrt(k/h), and
-    with r = h a^2 - k b^2, |a/b - x| = |r| / (h b (a + b x)).  As
-    a + b x < 2a + b whenever the gap is below 1, h b (2a + b) <
-    10^digits puts the pair too far away unless r = 0.  That needs
-    h k = root^2, and then r = 0 exactly when h a = root b, as
-    h r = (h a)^2 - (root b)^2.
+    Decimal integers.  Every pair runs the one certificate, which is
+    exact on any pair: a pair too far from the root to certify fails it.
     """
     require_int("a", a, 0)
     require_int("b", b, 1)
@@ -173,14 +163,8 @@ def certify_digits(a: int, b: int, k: int, h: int, digits: int) -> str | None:
     require_int("h", h, 1)
     require_int("digits", digits, 1)
     a, b = _strip_twos(a, b)
-    root = perfect_square_root(h * k)
-    context, scale_bits, *scales = _scales(k, digits)
-    narrow = (h.bit_length() + b.bit_length() + max(a.bit_length() + 1, b.bit_length()) + 1
-              < scale_bits)
-    if narrow and (root is None or h * a != root * b):
-        return None
-    with context:
-        return _certify(a, b, h, digits, scale_bits, *scales)
+    with localcontext(_EXACT):
+        return _certify(a, b, h, digits, *_scales(k, digits))
 
 
 def _squarings(a: int, b: int, radicand: int) -> Iterator[tuple[int, int, int]]:
@@ -368,12 +352,13 @@ def approximate(k: int, h: int, digits: int, method: Method = Method.LINEAR) -> 
     require_int("k", k, 1)
     require_int("h", h, 1)
     require_int("digits", digits, 1)
-    root = perfect_square_root(h * k)
-    context, scale_bits, scale, scaled, convert = _scales(k, digits)
+    floor = isqrt(h * k)
+    root = floor if floor * floor == h * k else None
+    root_bits = (floor + 1).bit_length()
     h_bits = h.bit_length()
-    root_bits = (isqrt(h * k) + 1).bit_length()
-    slack = scale_bits - 4
-    with context:
+    with localcontext(_EXACT):
+        scale_bits, scale, scaled, convert = _scales(k, digits)
+        slack = scale_bits - 4
         for index, num, den, f, t in _convergents(k, h, method):
             den_bits = den.bit_length()
             if f and t and (f.bit_length() + 2 * t.bit_length() + slack

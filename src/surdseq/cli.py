@@ -192,7 +192,8 @@ def cmd_oeis(args: argparse.Namespace) -> int:
 
     ids = [token.strip() for token in args.check.split(",") if token.strip()]
     _require(bool(ids), "no series ids given")
-    data_dir = os.environ.get("SURDSEQ_DATA_DIR") or args.data_dir
+    # an empty directory, from either source, is unset: not the working one
+    data_dir = os.environ.get("SURDSEQ_DATA_DIR") or args.data_dir or None
     params = {"check": ids}
     if data_dir:
         params["data_dir"] = str(data_dir)

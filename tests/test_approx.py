@@ -35,17 +35,6 @@ def test_certify_accepts_only_sharp_terms():
     assert certify_digits(1, 1, 1, 1, 4) == "1.0000"
 
 
-def test_certify_validation():
-    with pytest.raises(ValueError):
-        certify_digits(-1, 2, 2, 1, 3)
-    with pytest.raises(ValueError):
-        certify_digits(3, 0, 2, 1, 3)
-    with pytest.raises(ValueError):
-        certify_digits(3, 2, 2, 1, 0)
-    with pytest.raises(ValueError):
-        certify_digits(3, 2, 0, 1, 3)
-
-
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("k", [2, 3, 5, 7, 10])
 def test_certified_digits_match_ground_truth(method, k):
@@ -81,15 +70,6 @@ def test_jump_rejects_square_kh(k, h):
                 result = approximate(k, h, digits, Method.JUMP)
             assert result.digits == truth, (cutoff, digits)
             assert (result.n_used, result.error_bound) == (1, 0)
-
-
-def test_approximate_validation():
-    with pytest.raises(ValueError):
-        approximate(0, 1, 5)
-    with pytest.raises(ValueError):
-        approximate(2, 0, 5)
-    with pytest.raises(ValueError):
-        approximate(2, 1, 0)
 
 
 def test_digit_strings_nest_as_prefixes():

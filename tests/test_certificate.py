@@ -1,9 +1,10 @@
 """The certificate and the error bound against their plain formulas.
 
-certify_digits turns narrow pairs away on bit lengths, cuts wide ones
-to the quotient's width, proposes from the cut operands and proves the
-quotient on them, falling back to the full pair only when they cannot
-decide; approximate turns away, on bit lengths, every candidate whose
+certify_digits runs the one certificate on every pair: it cuts wide
+ones to the quotient's width, proposes from the cut operands and proves
+the quotient on them, falling back to the full pair only when they
+cannot decide; approximate alone turns away, on bit lengths, every
+candidate whose
 norm (handed over by the engine) proves it too far from the root,
 before anything reduces, cuts or converts it; _coprime_error_bound
 takes a pair in lowest terms and its residual, which approximate reads
@@ -538,18 +539,29 @@ def test_only_the_certifying_cut_pair_converts(converted, k, h, digits, method):
 
 def test_decimal_path_keeps_the_callers_context():
     # the exact context is entered through localcontext only, so the
-    # thread's context neither changes nor shapes the result
+    # thread's context neither changes nor shapes the result, on either
+    # number type: for approximate, and for certify_digits on a pair far
+    # too narrow to certify and on one cut down to the quotient's width
+    wide = (1 << 3000) + 12345
+    calls = {
+        "approximate": lambda: approximate(2, 3, 500, Method.NEWTON),
+        "narrow": lambda: certify_digits(4, 5, 2, 3, 500),
+        "cut": lambda: certify_digits(isqrt(2 * wide * wide // 3), wide, 2, 3, 500),
+    }
     with decimal_cutoff(None):
-        want = approximate(2, 3, 500, Method.NEWTON)
+        wants = {name: call() for name, call in calls.items()}
+    assert wants["narrow"] is None and wants["cut"] == truth_digits(2, 3, 500)
     context = decimal.getcontext()
     before = repr(context)
-    with decimal_cutoff(0):
-        assert approximate(2, 3, 500, Method.NEWTON) == want
-        assert decimal.getcontext() is context and repr(context) == before
-        with decimal.localcontext() as narrow:
-            narrow.prec = 5
-            assert approximate(2, 3, 500, Method.NEWTON) == want
-            assert decimal.getcontext() is narrow and narrow.prec == 5
+    for cutoff in CUTOFFS:
+        with decimal_cutoff(cutoff):
+            for name, call in calls.items():
+                assert call() == wants[name], name
+                assert decimal.getcontext() is context and repr(context) == before
+                with decimal.localcontext() as short:
+                    short.prec = 5
+                    assert call() == wants[name], name
+                    assert decimal.getcontext() is short and short.prec == 5
 
 
 def test_decimal_scales_take_the_bits_of_ten_from_bounds():
@@ -565,7 +577,8 @@ def test_decimal_scales_take_the_bits_of_ten_from_bounds():
         assert approx._power_of_ten_bits(digits) == (10 ** digits).bit_length(), digits
     with decimal_cutoff(0):
         for digits in chain(range(1, 300), extra):
-            assert approx._scales(3, digits)[1] == (10 ** digits).bit_length(), digits
+            scale_bits, *_ = approx._scales(3, digits)
+            assert scale_bits == (10 ** digits).bit_length(), digits
 
 
 def test_without_libmpdec_the_cutoff_is_off():

@@ -411,6 +411,18 @@ def test_oeis_env_overrides_flag(tmp_path, capsys, monkeypatch):
     assert code == 1 and "FAIL" in out
 
 
+def test_oeis_empty_data_dir_reads_the_bundled_files(tmp_path, capsys, monkeypatch):
+    # an empty --data-dir is unset, as an empty SURDSEQ_DATA_DIR is, so a
+    # tampered file in the working directory is never read
+    (tmp_path / "A001601.txt").write_text("1\n3\n17\n577\n665857\n999\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SURDSEQ_DATA_DIR", raising=False)
+    for env in ("unset", "empty"):
+        code, out, _ = run(capsys, "oeis", "--check", "A001601", "--data-dir", "")
+        assert (code, out.splitlines()) == (0, ["A001601 8 PASS"]), env
+        monkeypatch.setenv("SURDSEQ_DATA_DIR", "")
+
+
 def test_oeis_usage_errors(capsys, tmp_path):
     assert run(capsys, "oeis", "--check", "A000045")[0] == 2
     code, _, err = run(capsys, "oeis", "--check", "A001601",

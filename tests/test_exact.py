@@ -29,11 +29,6 @@ def test_isqrt_known_values():
     assert isqrt(10**40) == 10**20
 
 
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
 @given(st.integers(min_value=0, max_value=10**30))
 def test_isqrt_brackets(n):
     r = isqrt(n)

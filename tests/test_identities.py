@@ -29,13 +29,6 @@ def test_pell_residual_alternates():
     assert pell_residual(1, 7) == 0
 
 
-def test_pell_residual_validation():
-    with pytest.raises(ValueError):
-        pell_residual(0, 3)
-    with pytest.raises(ValueError):
-        pell_residual(2, -1)
-
-
 def test_index_double_known_value():
     assert index_double(2, 2) == 41
 
@@ -45,13 +38,6 @@ def test_index_double_matches_iteration():
         terms = ab(k, 25)
         for n in range(1, 12):
             assert index_double(k, n) == terms[2 * n].num
-
-
-def test_index_double_validation():
-    with pytest.raises(ValueError):
-        index_double(1, 3)
-    with pytest.raises(ValueError):
-        index_double(2, 0)
 
 
 def test_sqrt_double_known_value():
@@ -75,15 +61,6 @@ def test_sqrt_double_rejects_imposter_pairs():
         sqrt_double(5, 2, 7, 5)   # genuine pair, wrong k
 
 
-def test_sqrt_double_validation():
-    with pytest.raises(ValueError):
-        sqrt_double(1, 2, 3, 2)
-    with pytest.raises(ValueError):
-        sqrt_double(2, 0, 1, 1)
-    with pytest.raises(ValueError):
-        sqrt_double(2, 2, 0, 5)
-
-
 def test_two_power_ladder_known_values():
     assert [(t.num, t.den) for t in two_power_ladder(3, 2)] == [
         (4, 2), (10, 6), (76, 44)]
@@ -99,13 +76,6 @@ def test_two_power_ladder_indices():
         assert (t.num, t.den) == (terms[t.n].num, terms[t.n].den)
 
 
-def test_two_power_ladder_validation():
-    with pytest.raises(ValueError):
-        two_power_ladder(1, 2)
-    with pytest.raises(ValueError):
-        two_power_ladder(2, -1)
-
-
 def test_addition_jump_known_value():
     assert addition_jump(2, 2, 1) == (4, 41, 29)
 
@@ -118,15 +88,6 @@ def test_addition_jump_matches_iteration():
                 pair = addition_jump(k, m, n)
                 assert pair.n == m + n + 1
                 assert pair == (m + n + 1, terms[m + n + 1].num, terms[m + n + 1].den)
-
-
-def test_addition_jump_validation():
-    with pytest.raises(ValueError):
-        addition_jump(1, 2, 2)
-    with pytest.raises(ValueError):
-        addition_jump(2, 0, 2)
-    with pytest.raises(ValueError):
-        addition_jump(2, 2, -1)
 
 
 def test_identity_helpers_jump_instead_of_iterating():
@@ -144,13 +105,6 @@ def test_fast_term_matches_iteration():
         terms = ab(k, 21)
         for n in range(21):
             assert fast_term(k, n) == terms[n]
-
-
-def test_fast_term_validation():
-    with pytest.raises(ValueError):
-        fast_term(1, 5)
-    with pytest.raises(ValueError):
-        fast_term(2, -1)
 
 
 def test_identity_report_passed_property():

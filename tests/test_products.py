@@ -19,13 +19,6 @@ def test_run_small_values():
     assert [(st.c, st.d) for st in cd_run(2, 2)] == [(1, 1), (2, 1), (7, 4)]
 
 
-def test_run_validation():
-    with pytest.raises(ValueError):
-        cd_run(1, 3)
-    with pytest.raises(ValueError):
-        cd_run(3, -1)
-
-
 def test_state_partial_anchors_at_one():
     states = cd_run(4, 3)
     assert states[0].partial == Fraction(1)

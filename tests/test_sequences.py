@@ -262,13 +262,6 @@ def test_reduced_cd_scaling_against_base_pair():
             assert cd[n].den * 2 ** shift == ab[n].den
 
 
-def test_reduced_cd_validation():
-    with pytest.raises(ValueError):
-        reduced_cd(-1, 4)
-    with pytest.raises(ValueError):
-        reduced_cd(2, 0)
-
-
 def test_terms_serves_every_family():
     assert terms(SeqSpec(Family.AB, k=2), 3) == [(0, 1, 1), (1, 3, 2), (2, 7, 5)]
     assert terms(SeqSpec(Family.AB_TILDE, k=5), 3) == [(0, 0, 1), (1, 5, 1), (2, 10, 6)]
